@@ -2,8 +2,8 @@
 
 The Wald statistic inverts an m x m kernel, where m is the number of rows of
 the hypothesis matrix.  A redundant encoding with hundreds of rows therefore
-pays for a large SVD on every evaluation, while an equivalent single-row
-encoding pays almost nothing; over the thousands of evaluations of a
+pays for a large eigendecomposition on every evaluation, while an equivalent
+single-row encoding pays almost nothing; over the thousands of evaluations of a
 bootstrap or permutation loop the difference is minutes versus seconds.
 
 This demo runs a small grid so it finishes quickly; push ``dims`` and

@@ -19,9 +19,9 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     _EPS,
     Tolerance,
+    _gram_factor,
     as_matrix,
     as_vector,
-    pinv,
     rank,
     rref,
 )
@@ -201,11 +201,11 @@ def projection_form(hyp: LinearHypothesis, tol: Tolerance | None = None) -> Proj
     tol = tol or DEFAULT_TOLERANCE
     if not is_consistent(hyp, tol):
         raise InconsistentHypothesisError("no projection form: hypothesis has no solution")
-    gram_inv = pinv(hyp.h @ hyp.h.T, tol)
-    p = hyp.h.T @ gram_inv @ hyp.h
+    w, lam, v, c = _gram_factor(hyp.h, tol)
+    p = w.T @ (w / lam[:, None])
     if not hyp.y.any():
         return ProjectionForm(p, True, np.zeros(hyp.d))
-    y_out = hyp.h.T @ gram_inv @ hyp.y
+    y_out = w.T @ ((v.T @ hyp.y) / lam) / c
     verdict = equivalent(hyp, LinearHypothesis(p, y_out), tol)
     return ProjectionForm(p, verdict is EquivalenceVerdict.EQUIVALENT, y_out)
 

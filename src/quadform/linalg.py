@@ -5,15 +5,23 @@ eagerly: matrices must be 2-d, nonempty and finite, so numerical routines
 never see NaN or Inf.  Rank decisions are governed by a :class:`Tolerance`;
 the default singular-value cutoff is ``max(rows, cols) * eps * s_max``, which
 makes them invariant under rescaling of the input.
+
+The public :func:`pinv` runs a general SVD and accepts rectangular input.
+Every internal pseudo-inverse is of a symmetric matrix (a Wald-type kernel
+``H Sigma H'`` or a Gram matrix ``H H'``) and uses one symmetric
+eigendecomposition instead: the singular values of a symmetric matrix are the
+magnitudes of its eigenvalues, so keeping the eigenpairs with ``|lambda|``
+above the same cutoff makes the same rank decision at a fraction of the cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
+_MAX = float(np.finfo(np.float64).max)
 
 # Zero-snap safety factor for row elimination.  Cancellation residue of a
 # dependent row can exceed a bare max(m, n) * eps multiple of the row scale
@@ -87,8 +95,7 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _rank_cutoff(s: np.ndarray, shape: tuple[int, int], tol: Tolerance) -> float:
     if tol.rank_tol is not None:
         return tol.rank_tol
-    smax = float(s[0]) if s.size else 0.0
-    return max(shape) * _EPS * smax
+    return max(shape) * _EPS * float(s.max(initial=0.0))
 
 
 def pinv(a, tol: Tolerance | None = None) -> np.ndarray:
@@ -105,6 +112,60 @@ def pinv(a, tol: Tolerance | None = None) -> np.ndarray:
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T
+
+
+def _symmetric_factor(
+    a: np.ndarray, tol: Tolerance | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse of a symmetric matrix as its kept eigenpairs ``(lam, v)``.
+
+    ``a^+ == v @ diag(1 / lam) @ v.T``.  Only the lower triangle of ``a`` is
+    read.  An eigenpair is kept when ``|lam|`` exceeds the cutoff :func:`pinv`
+    applies to the singular values, which for a symmetric matrix are exactly
+    the ``|lam|``; each kept ``lam`` keeps its sign.
+    """
+    tol = tol or DEFAULT_TOLERANCE
+    if a.shape == (1, 1):
+        # What eigh returns for 1 x 1 input, without its LAPACK call overhead;
+        # one-row hypotheses, the paper's minimal encodings, have such kernels.
+        lam, v = a[0].copy(), np.ones((1, 1))
+    else:
+        try:
+            lam, v = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"symmetric eigendecomposition did not converge: {exc}") from exc
+    mag = np.abs(lam)
+    keep = mag > _rank_cutoff(mag, a.shape, tol)
+    return lam[keep], v[:, keep]
+
+
+def _quadratic_form(lam: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
+    """``r' a^+ r`` from the kept eigenpairs of ``a``: the sum of ``(v_i' r)^2 / lam_i``."""
+    z = r @ v
+    return float((z / lam) @ z)
+
+
+def _gram_factor(
+    h: np.ndarray, tol: Tolerance | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Factor the Gram matrix of ``h`` with ``h`` first scaled to entries below 2.
+
+    Returns ``(w, lam, v, c)`` with ``h == c * hs`` for a power of two ``c``,
+    ``(lam, v)`` the kept eigenpairs of ``hs @ hs.T`` and ``w = v.T @ hs``, so
+    that ``h.T (h h.T)^+ h == w.T diag(1 / lam) w`` and
+    ``h.T (h h.T)^+ b == w.T diag(1 / lam) v.T b / c``.  Scaling by a power
+    of two rounds nothing, and it keeps the Gram matrix clear of overflow and
+    underflow however ``h`` is scaled; an absolute ``rank_tol``, which applies
+    to the eigenvalues of ``h h.T``, is divided by ``c**2`` to match.
+    """
+    tol = tol or DEFAULT_TOLERANCE
+    top = float(np.max(np.abs(h)))
+    c = float(np.ldexp(1.0, np.frexp(top)[1] - 1)) if top > 0.0 else 1.0
+    hs = h / c
+    if tol.rank_tol is not None:
+        tol = replace(tol, rank_tol=min(tol.rank_tol / c / c, _MAX))
+    lam, v = _symmetric_factor(hs @ hs.T, tol)
+    return v.T @ hs, lam, v, c
 
 
 def rank(a, tol: Tolerance | None = None) -> int:
@@ -165,10 +226,10 @@ def projection(h, tol: Tolerance | None = None) -> np.ndarray:
 
     The projector depends only on the row space, so any matrix with the same
     row space produces the same result; it is symmetric and idempotent up to
-    rounding.
+    rounding.  The result does not depend on the scale of ``h``.
     """
-    h = as_matrix(h)
-    return h.T @ pinv(h @ h.T, tol) @ h
+    w, lam, _, _ = _gram_factor(as_matrix(h), tol)
+    return w.T @ (w / lam[:, None])
 
 
 def kron(a, b) -> np.ndarray:

@@ -19,9 +19,10 @@ from .linalg import (
     _EPS,
     NumericError,
     Tolerance,
+    _quadratic_form,
+    _symmetric_factor,
     as_matrix,
     as_vector,
-    pinv,
 )
 
 # Quadratic forms with PSD kernels cannot be negative; values above this
@@ -80,8 +81,14 @@ def _check_covariance(sigma: np.ndarray) -> None:
     scale = float(np.linalg.norm(sigma))
     if float(np.linalg.norm(sigma - sigma.T)) > 1e-10 * scale:
         raise ValueError("covariance is not symmetric")
-    if float(np.linalg.eigvalsh(sigma)[0]) < -1e-10 * scale:
-        raise ValueError("covariance is not positive semidefinite")
+    # A Cholesky factor exists only when the smallest eigenvalue is at least
+    # about -d * eps * scale, far above the -1e-10 * scale floor, so success
+    # settles acceptance; singular and indefinite cases go to the eigenvalues.
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        if float(np.linalg.eigvalsh(sigma)[0]) < -1e-10 * scale:
+            raise ValueError("covariance is not positive semidefinite") from None
 
 
 def _finish(kind: str, value: float, m: int) -> StatisticResult:
@@ -111,7 +118,7 @@ def wts(
     _check_match(hyp, inp.d)
     r = hyp.h @ inp.t - hyp.y
     kernel = hyp.h @ inp.sigma @ hyp.h.T
-    value = inp.n * float(r @ pinv(kernel, tol) @ r)
+    value = inp.n * _quadratic_form(*_symmetric_factor(kernel, tol), r)
     return _finish("WTS", value, hyp.m)
 
 
@@ -130,7 +137,7 @@ def mats(
         raise ValueError("MATS requires strictly positive covariance diagonal entries")
     r = hyp.h @ inp.t - hyp.y
     kernel = (hyp.h * diag) @ hyp.h.T
-    value = float(r @ pinv(kernel, tol) @ r)
+    value = _quadratic_form(*_symmetric_factor(kernel, tol), r)
     return _finish("MATS", value, hyp.m)
 
 
@@ -173,8 +180,11 @@ class WtsKernel:
     The pseudo-inverse of ``H Sigma H'`` depends only on the hypothesis and
     the covariance, so for repeated evaluation against many statistic vectors
     (bootstrap or permutation replicates) it pays to compute it a single time.
-    Instances are immutable and safe to share across threads; ``evaluate``
-    returns exactly what :func:`wts` returns for the same inputs.
+    The kernel is factored by the same symmetric eigendecomposition and rank
+    cutoff as in :func:`wts`, and only the kept eigenpairs are stored: a rank-r
+    kernel holds r of them, not a dense m x m inverse.  Instances are
+    immutable and safe to share across threads; ``evaluate`` returns exactly
+    what :func:`wts` returns for the same inputs.
     """
 
     def __init__(
@@ -195,11 +205,13 @@ class WtsKernel:
         if not (np.isfinite(n) and n > 0):
             raise ValueError(f"sample size must be positive and finite, got {n}")
         kernel = hypothesis.h @ sigma @ hypothesis.h.T
-        inverse = pinv(kernel, tol)
-        inverse.flags.writeable = False
+        lam, v = _symmetric_factor(kernel, tol)
+        lam.flags.writeable = False
+        v.flags.writeable = False
         self._hypothesis = hypothesis
         self._n = n
-        self._inverse = inverse
+        self._lam = lam
+        self._v = v
 
     @property
     def hypothesis(self) -> LinearHypothesis:
@@ -208,7 +220,7 @@ class WtsKernel:
     def evaluate(self, t) -> StatisticResult:
         hyp = self._hypothesis
         r = hyp.h @ as_vector(t) - hyp.y
-        value = self._n * float(r @ self._inverse @ r)
+        value = self._n * _quadratic_form(self._lam, self._v, r)
         return _finish("WTS", value, hyp.m)
 
 

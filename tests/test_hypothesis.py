@@ -181,6 +181,15 @@ class TestProjectionForm:
         assert form.equivalent
         np.testing.assert_allclose(form.y, np.zeros(3))
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scale(self, scale):
+        h = scale * np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        theta = np.array([1.0, 2.0, 3.0])
+        form = projection_form(LinearHypothesis(h, h @ theta))
+        np.testing.assert_allclose(form.p, CENTERING_3, atol=1e-12)
+        assert form.equivalent
+        np.testing.assert_allclose(form.y, CENTERING_3 @ theta, atol=1e-12)
+
     def test_identity_any_rhs(self):
         hyp = LinearHypothesis(np.eye(3), [1.0, -2.0, 0.5])
         form = projection_form(hyp)

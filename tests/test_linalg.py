@@ -183,6 +183,19 @@ class TestProjection:
     def test_identity(self):
         np.testing.assert_allclose(projection(np.eye(4)), np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scale(self, scale):
+        # H H' underflows or overflows at these scales; the projector must not.
+        np.testing.assert_allclose(projection(scale * H_ALL_PAIRS), CENTERING_3, atol=1e-12)
+
+    def test_absolute_cutoff_applies_to_the_unscaled_gram_matrix(self):
+        # H H' has eigenvalues 9 and 9e-12, straddled by the two cutoffs.
+        h = np.diag([3.0, 3e-6])
+        np.testing.assert_allclose(projection(h, Tolerance(rank_tol=5e-12)), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(
+            projection(h, Tolerance(rank_tol=2e-11)), np.diag([1.0, 0.0]), atol=1e-12
+        )
+
     def test_sphericity_projector(self):
         # equal-variance, zero-covariance constraint in vech coordinates
         h = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])

@@ -21,7 +21,7 @@ from quadform import (
 )
 from quadform.statistics import _finish
 
-from helpers import HARNESS_TOL, equivalent_pair, random_spd
+from helpers import HARNESS_TOL, equivalent_pair, random_orthogonal, random_spd
 
 SPHERICITY = 0.5 * np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0], [-1.0, 0.0, 1.0]])
 
@@ -30,6 +30,15 @@ def wts_direct(h, y, t, sigma, n):
     """Straight formula evaluation with numpy's own pseudo-inverse."""
     r = h @ t - y
     return n * float(r @ np.linalg.pinv(h @ sigma @ h.T) @ r)
+
+
+def _with_smallest_eigenvalue(relative):
+    """Symmetric 4x4 matrix whose smallest eigenvalue is ``relative * ||Sigma||_F``."""
+    q = random_orthogonal(np.random.default_rng(31), 4)
+    spectrum = np.array([1.0, 2.0, 3.0, 0.0])
+    spectrum[3] = relative * np.linalg.norm(spectrum)
+    sigma = (q * spectrum) @ q.T
+    return (sigma + sigma.T) / 2.0
 
 
 class TestStatisticInput:
@@ -54,6 +63,31 @@ class TestStatisticInput:
     def test_psd_boundary_accepted(self):
         StatisticInput([1.0, 2.0], np.zeros((2, 2)), 1)
         StatisticInput([1.0, 2.0], np.ones((2, 2)), 1)
+
+    @pytest.mark.parametrize(
+        "sigma, accepted",
+        [
+            (np.ones((3, 3)), True),
+            (np.zeros((3, 3)), True),
+            (np.eye(3), True),
+            (_with_smallest_eigenvalue(1e-12), True),
+            (_with_smallest_eigenvalue(-1e-12), True),
+            (_with_smallest_eigenvalue(-1e-8), False),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), False),
+        ],
+    )
+    def test_psd_verdict_matches_eigenvalue_reference(self, sigma, accepted):
+        # The eigenvalue test alone, as applied before Cholesky was tried first.
+        reference = np.linalg.eigvalsh(sigma)[0] >= -1e-10 * np.linalg.norm(sigma)
+        assert reference == accepted
+        try:
+            StatisticInput(np.zeros(sigma.shape[0]), sigma, 1)
+        except ValueError as exc:
+            assert "semidefinite" in str(exc)
+            verdict = False
+        else:
+            verdict = True
+        assert verdict == accepted
 
 
 class TestWts:
