@@ -17,12 +17,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOLERANCE,
-    _EPS,
     Tolerance,
     _gram_factor,
+    _rank_cutoff,
     as_matrix,
     as_vector,
-    rank,
     rref,
 )
 
@@ -128,9 +127,12 @@ class DependencePartition:
 
 
 def is_consistent(hyp: LinearHypothesis, tol: Tolerance | None = None) -> bool:
-    """True when the system has at least one solution: rank(H) == rank([H | y])."""
-    tol = tol or DEFAULT_TOLERANCE
-    return rank(hyp.h, tol) == rank(hyp.augmented(), tol)
+    """True unless a pivot of the row-reduced ``[H | y]`` lands in the y column.
+
+    This pivot test is the one consistency decision of every entry point;
+    ``rank_tol`` is the relative snap multiplier of :func:`rref` here.
+    """
+    return _reduced_augmented(hyp, tol or DEFAULT_TOLERANCE)[2]
 
 
 def _reduced_augmented(
@@ -221,16 +223,12 @@ def dependence_classes(h, tol: Tolerance | None = None) -> DependencePartition:
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOLERANCE
-    m, d = h.shape
     norms = np.linalg.norm(h, axis=1)
-    if tol.rank_tol is not None:
-        zero_cut = tol.rank_tol
-    else:
-        zero_cut = max(m, d) * _EPS * float(norms.max(initial=0.0))
+    zero_cut = _rank_cutoff(norms, h.shape, tol)
     zero_rows: list[int] = []
     groups: list[tuple[list[int], list[float]]] = []
     units: list[np.ndarray] = []
-    for i in range(m):
+    for i in range(h.shape[0]):
         if norms[i] <= zero_cut:
             zero_rows.append(i)
             continue
@@ -264,6 +262,8 @@ def reduce_for_ats(hyp: LinearHypothesis, tol: Tolerance | None = None) -> Linea
 
     The output is unique for a given input matrix; two different (if
     equivalent) starting matrices may still reduce to different outputs.
+    Rows parallel within ``eq_tol`` whose right-hand sides disagree are
+    rejected even in a consistent system: collapsing them changes its solutions.
     """
     tol = tol or DEFAULT_TOLERANCE
     if not is_consistent(hyp, tol):
@@ -275,15 +275,11 @@ def reduce_for_ats(hyp: LinearHypothesis, tol: Tolerance | None = None) -> Linea
             expected = coeff * hyp.y[rep]
             if abs(hyp.y[idx] - expected) > tol.eq_tol * (1.0 + abs(expected)):
                 raise InconsistentHypothesisError(
-                    f"rows {rep} and {idx} are parallel but their right-hand "
-                    f"sides disagree; the hypothesis has no solution"
+                    f"rows {rep} and {idx} are parallel within eq_tol but their "
+                    f"right-hand sides disagree; no ATS-safe reduction exists"
                 )
     if not partition.classes:
         return LinearHypothesis(np.zeros((1, hyp.d)), np.zeros(1))
-    rows = []
-    rhs = []
-    for cls in partition.classes:
-        w = cls.weight
-        rows.append(w * hyp.h[cls.representative])
-        rhs.append(w * hyp.y[cls.representative])
-    return LinearHypothesis(np.vstack(rows), np.array(rhs))
+    reps = [cls.representative for cls in partition.classes]
+    weights = np.array([cls.weight for cls in partition.classes])
+    return LinearHypothesis(weights[:, None] * hyp.h[reps], weights * hyp.y[reps])

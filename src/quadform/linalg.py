@@ -39,9 +39,9 @@ class Tolerance:
 
     ``rank_tol`` is an absolute singular-value cutoff; ``None`` derives the
     standard scale-invariant cutoff from the matrix itself.  Inside
-    :func:`rref` it acts as a relative multiplier against each row's running
-    magnitude.  ``eq_tol`` is the relative tolerance for entrywise matrix
-    comparisons.
+    :func:`rref`, and so in every consistency decision, it is a relative
+    multiplier against each row's running magnitude.  ``eq_tol`` is the
+    relative tolerance for entrywise matrix comparisons.
     """
 
     rank_tol: float | None = None

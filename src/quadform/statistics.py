@@ -45,18 +45,14 @@ class StatisticInput:
 
     def __post_init__(self) -> None:
         t = as_vector(self.t).copy()
-        sigma = as_matrix(self.sigma).copy()
-        _check_covariance(sigma)
+        sigma = _covariance(self.sigma)
         if t.shape[0] != sigma.shape[0]:
             raise ValueError(
                 f"T has length {t.shape[0]} but Sigma is "
                 f"{sigma.shape[0]}x{sigma.shape[1]}"
             )
-        n = float(self.n)
-        if not (np.isfinite(n) and n > 0):
-            raise ValueError(f"sample size must be positive and finite, got {self.n}")
+        n = _sample_size(self.n)
         t.flags.writeable = False
-        sigma.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "n", n)
@@ -75,20 +71,34 @@ class StatisticResult:
     m_effective: int
 
 
-def _check_covariance(sigma: np.ndarray) -> None:
+def _sample_size(n) -> float:
+    value = float(n)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"sample size must be positive and finite, got {n}")
+    return value
+
+
+def _check_symmetric(a: np.ndarray, message: str) -> None:
+    if float(np.linalg.norm(a - a.T)) > 1e-10 * float(np.linalg.norm(a)):
+        raise ValueError(message)
+
+
+def _covariance(sigma) -> np.ndarray:
+    """A read-only copy of ``sigma``, checked to be square, symmetric and PSD."""
+    sigma = as_matrix(sigma).copy()
     if sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"covariance must be square, got shape {sigma.shape}")
-    scale = float(np.linalg.norm(sigma))
-    if float(np.linalg.norm(sigma - sigma.T)) > 1e-10 * scale:
-        raise ValueError("covariance is not symmetric")
+    _check_symmetric(sigma, "covariance is not symmetric")
     # A Cholesky factor exists only when the smallest eigenvalue is at least
-    # about -d * eps * scale, far above the -1e-10 * scale floor, so success
-    # settles acceptance; singular and indefinite cases go to the eigenvalues.
+    # about -d * eps * ||sigma||, far above the -1e-10 * ||sigma|| floor, so
+    # success settles acceptance; singular and indefinite cases go to eigvalsh.
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        if float(np.linalg.eigvalsh(sigma)[0]) < -1e-10 * scale:
+        if float(np.linalg.eigvalsh(sigma)[0]) < -1e-10 * float(np.linalg.norm(sigma)):
             raise ValueError("covariance is not positive semidefinite") from None
+    sigma.flags.writeable = False
+    return sigma
 
 
 def _finish(kind: str, value: float, m: int) -> StatisticResult:
@@ -151,9 +161,7 @@ def ats(hyp: LinearHypothesis, t, n: float) -> StatisticResult:
     """
     t = as_vector(t)
     _check_match(hyp, t.shape[0])
-    n = float(n)
-    if not (np.isfinite(n) and n > 0):
-        raise ValueError(f"sample size must be positive and finite, got {n}")
+    n = _sample_size(n)
     r = hyp.h @ t - hyp.y
     return _finish("ATS", n * float(r @ r), hyp.m)
 
@@ -194,16 +202,13 @@ class WtsKernel:
         n: float,
         tol: Tolerance | None = None,
     ) -> None:
-        sigma = as_matrix(sigma).copy()
-        _check_covariance(sigma)
+        sigma = _covariance(sigma)
         if hypothesis.d != sigma.shape[0]:
             raise ValueError(
                 f"hypothesis has {hypothesis.d} columns but Sigma is "
                 f"{sigma.shape[0]}x{sigma.shape[1]}"
             )
-        n = float(n)
-        if not (np.isfinite(n) and n > 0):
-            raise ValueError(f"sample size must be positive and finite, got {n}")
+        n = _sample_size(n)
         kernel = hypothesis.h @ sigma @ hypothesis.h.T
         lam, v = _symmetric_factor(kernel, tol)
         lam.flags.writeable = False
@@ -234,9 +239,7 @@ def vech_upper(v) -> np.ndarray:
     p, q = v.shape
     if p != q:
         raise ValueError(f"vech needs a square matrix, got shape {v.shape}")
-    scale = float(np.linalg.norm(v))
-    if float(np.linalg.norm(v - v.T)) > 1e-10 * scale:
-        raise ValueError("vech needs a symmetric matrix")
+    _check_symmetric(v, "vech needs a symmetric matrix")
     return v[np.triu_indices(p)].copy()
 
 

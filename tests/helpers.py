@@ -98,6 +98,21 @@ def hypothesis_with_redundancy(rng, max_class_size=4):
     return LinearHypothesis(h, h @ solution)
 
 
+def near_tolerance_system(rng, log10_offset):
+    """Two random rows in R^4 plus a combination of them whose y is off by 10**log10_offset.
+
+    The offset is relative to the combined right-hand side, with a random
+    sign.  Offsets between 1e-16 and 1e-11 straddle the consistency cutoff,
+    so the family holds consistent and inconsistent systems close to it.
+    """
+    base = rng.standard_normal((2, 4))
+    coef = rng.standard_normal(2)
+    y = rng.standard_normal(2)
+    offset = rng.choice([-1.0, 1.0]) * 10.0**log10_offset
+    h = np.vstack([base, coef @ base])
+    return LinearHypothesis(h, np.append(y, (coef @ y) * (1.0 + offset)))
+
+
 def _membership_bound(hyp, point):
     return ORACLE_TOL * (
         1.0

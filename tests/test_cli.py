@@ -153,6 +153,12 @@ class TestCanonReduce:
         assert main(["canon", "--hypothesis", h, "--rhs", y]) == 1
         assert "no solution" in capsys.readouterr().err
 
+    def test_unreducible_parallel_rows_are_user_error(self, tmp_path, capsys):
+        h = _write(tmp_path, "h.csv", [[1.0, 2.0, 3.0, 4.0], [1.0 + 1e-10, 2.0, 3.0, 4.0]])
+        y = _write_vec(tmp_path, "y.csv", [0.0, 1.0])
+        assert main(["reduce", "--hypothesis", h, "--rhs", y]) == 1
+        assert "parallel within eq_tol" in capsys.readouterr().err
+
 
 class TestCsvErrors:
     def test_ragged_file_names_line(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from helpers import (
     OracleSystem,
     equivalent_pair,
     hypothesis_with_redundancy,
+    near_tolerance_system,
     oracle_verdict,
     random_consistent_hypothesis,
 )
@@ -63,6 +64,29 @@ class TestConsistency:
     def test_mean_equality_system(self):
         h = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]]
         assert is_consistent(LinearHypothesis(h, np.zeros(3)))
+
+    def test_one_verdict_at_every_entry_point_near_the_cutoff(self):
+        # A redundant row whose right-hand side is off by 1e-16 to 1e-11
+        # relative sits right at the consistency cutoff; every entry point
+        # must still reach the same verdict on it.
+        def accepts(entry_point, hyp):
+            try:
+                entry_point(hyp)
+            except InconsistentHypothesisError:
+                return False
+            return True
+
+        rng = np.random.default_rng(0)
+        verdicts = []
+        for _ in range(600):
+            hyp = near_tolerance_system(rng, rng.uniform(-16.0, -11.0))
+            verdict = is_consistent(hyp)
+            assert accepts(canonical_form, hyp) is verdict
+            assert accepts(reduce_for_ats, hyp) is verdict
+            assert accepts(projection_form, hyp) is verdict
+            verdicts.append(verdict)
+        # The family straddles the cutoff, so both verdicts occur.
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestEquivalent:
@@ -323,6 +347,17 @@ class TestReduceForAts:
         bad = LinearHypothesis([[1.0, 1.0], [2.0, 2.0]], [1.0, 5.0])
         with pytest.raises(InconsistentHypothesisError):
             reduce_for_ats(bad)
+
+    def test_rows_parallel_within_eq_tol_with_disagreeing_rhs(self):
+        # The two rows differ by 1e-10 in one entry: independent for the
+        # consistency test, so the system has solutions, but parallel within
+        # eq_tol, so collapsing them would change the solution set.
+        h = np.array([[1.0, 2.0, 3.0, 4.0], [1.0 + 1e-10, 2.0, 3.0, 4.0]])
+        hyp = LinearHypothesis(h, [0.0, 1.0])
+        assert is_consistent(hyp)
+        with pytest.raises(InconsistentHypothesisError, match="parallel within eq_tol") as info:
+            reduce_for_ats(hyp)
+        assert "no solution" not in str(info.value)
 
     def test_trivial_hypothesis(self):
         out = reduce_for_ats(LinearHypothesis(np.zeros((2, 2)), np.zeros(2)))

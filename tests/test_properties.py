@@ -1,4 +1,5 @@
-"""Property-based checks of the symmetric factorization and the Wald-type forms.
+"""Property-based checks of the symmetric factorization, the Wald-type forms and
+the consistency decision.
 
 Examples are derandomized, so every run draws the same ones.  Floats inside a
 matrix come from a numpy generator seeded by the drawn ``seed``; the drawn
@@ -11,10 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadform import (
+    InconsistentHypothesisError,
     LinearHypothesis,
     StatisticInput,
     Tolerance,
     WtsKernel,
+    canonical_form,
+    is_consistent,
     mats,
     pinv,
     rank,
@@ -22,7 +26,13 @@ from quadform import (
 )
 from quadform.linalg import _rank_cutoff, _symmetric_factor
 
-from helpers import random_orthogonal, random_spd, shaped_matrix, well_conditioned
+from helpers import (
+    near_tolerance_system,
+    random_orthogonal,
+    random_spd,
+    shaped_matrix,
+    well_conditioned,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -107,3 +117,31 @@ def test_kernel_evaluate_equals_wts_exactly(seed, d, zero_rows, duplicates, tol)
     for _ in range(3):
         t = rng.standard_normal(d)
         assert kernel.evaluate(t).value == wts(hyp, StatisticInput(t, sigma, n), tol).value
+
+
+def _canonical_or_none(hyp):
+    try:
+        return canonical_form(hyp)
+    except InconsistentHypothesisError:
+        return None
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    log10_offset=st.floats(-17.0, -8.0),
+    k=st.sampled_from([40, -40, 300, -300]),
+)
+def test_consistency_verdicts_unchanged_by_power_of_two_scaling(seed, log10_offset, k):
+    # Offsets on both sides of the cutoff give consistent and inconsistent
+    # systems close to it, where a scale-dependent decision would flip.
+    hyp = near_tolerance_system(np.random.default_rng(seed), log10_offset)
+    scaled = LinearHypothesis(np.ldexp(hyp.h, k), np.ldexp(hyp.y, k))
+    assert is_consistent(scaled) is is_consistent(hyp)
+    canon, canon_scaled = _canonical_or_none(hyp), _canonical_or_none(scaled)
+    assert (canon is None) is (canon_scaled is None)
+    if canon is not None:
+        # Scaling by a power of two rounds nothing, and pivot normalization
+        # divides it back out, so the canonical forms agree bit for bit.
+        np.testing.assert_array_equal(canon_scaled.h, canon.h)
+        np.testing.assert_array_equal(canon_scaled.y, canon.y)
