@@ -13,12 +13,8 @@ payoff of minimal hypothesis matrices.
 from .bench import (
     BenchConfig,
     BenchReport,
-    BenchRow,
-    build_setting_a,
-    build_setting_b,
     emit_report,
     run_benchmark,
-    sample_compound_symmetry_normal,
 )
 from .hypothesis import (
     DependenceClass,
@@ -34,25 +30,13 @@ from .hypothesis import (
     projection_form,
     reduce_for_ats,
 )
-from .io import (
-    format_matrix_csv,
-    read_matrix_csv,
-    read_vector_csv,
-    write_matrix_csv,
-    write_vector_csv,
-)
 from .linalg import (
-    DEFAULT_TOLERANCE,
     NumericError,
     Tolerance,
-    as_matrix,
-    as_vector,
-    kron,
     pinv,
     projection,
     rank,
     rref,
-    svd,
 )
 from .statistics import (
     StatisticInput,
@@ -72,8 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchConfig",
     "BenchReport",
-    "BenchRow",
-    "DEFAULT_TOLERANCE",
     "DependenceClass",
     "DependencePartition",
     "EquivalenceVerdict",
@@ -85,35 +67,23 @@ __all__ = [
     "StatisticResult",
     "Tolerance",
     "WtsKernel",
-    "as_matrix",
-    "as_vector",
     "ats",
     "ats_standardized",
-    "build_setting_a",
-    "build_setting_b",
     "canonical_form",
     "dependence_classes",
     "diag_selector",
     "emit_report",
     "equivalent",
-    "format_matrix_csv",
     "is_consistent",
-    "kron",
     "mats",
     "pinv",
     "projection",
     "projection_form",
     "rank",
-    "read_matrix_csv",
-    "read_vector_csv",
     "reduce_for_ats",
     "rref",
     "run_benchmark",
-    "sample_compound_symmetry_normal",
     "sample_covariance",
-    "svd",
     "vech_upper",
-    "write_matrix_csv",
-    "write_vector_csv",
     "wts",
 ]

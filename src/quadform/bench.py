@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypothesis import LinearHypothesis
-from .linalg import NumericError, as_vector, kron
+from .linalg import NumericError, as_vector
 from .statistics import StatisticInput, WtsKernel, diag_selector, wts
 
 GENERATOR_NAME = "PCG64"
@@ -31,7 +31,7 @@ class BenchConfig:
 
     ``dims`` holds per-group dimensions d for setting A and matrix dimensions
     p for setting B (the statistic then lives in p(p+1)/2 coordinates).
-    ``gamma`` is the setting-B trace target; ``None`` selects ``2p``, the
+    ``gamma`` is the finite setting-B trace target; ``None`` selects ``2p``, the
     trace of the compound-symmetry covariance used to generate the data.
     With ``precompute`` the kernel pseudo-inverse is factored once per variant
     instead of being recomputed on every evaluation.
@@ -54,6 +54,8 @@ class BenchConfig:
             raise ValueError(f"dims must be positive, got {dims}")
         if int(self.replications) < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if self.gamma is not None and not np.isfinite(float(self.gamma)):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
@@ -111,7 +113,7 @@ def build_setting_a(d: int) -> tuple[LinearHypothesis, LinearHypothesis]:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     half_centering = np.eye(2) - np.full((2, 2), 0.5)
-    full = LinearHypothesis(kron(half_centering, np.ones((d, d))), np.zeros(2 * d))
+    full = LinearHypothesis(np.kron(half_centering, np.ones((d, d))), np.zeros(2 * d))
     minimal = LinearHypothesis(
         np.concatenate([np.ones(d), -np.ones(d)])[None, :], np.zeros(1)
     )
@@ -128,9 +130,6 @@ def build_setting_b(p: int, gamma: float) -> tuple[LinearHypothesis, LinearHypot
     ``s_i * trace(V)``, which is zero off the selector's support, so a
     constant right-hand side would make the system unsolvable there.
     """
-    p = int(p)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     gamma = float(gamma)
     selector = diag_selector(p)
     full = LinearHypothesis(np.outer(selector, selector), gamma * selector)

@@ -65,15 +65,10 @@ def _cmd_stat(args) -> None:
         result = ats(hyp, t, _require(args.n, "--n"))
     else:
         sigma = read_matrix_csv(_require(args.sigma, "--sigma"))
-        if args.kind == "mats":
-            inp = StatisticInput(t, sigma, args.n if args.n is not None else 1.0)
-            result = mats(hyp, inp)
-        elif args.kind == "wts":
-            result = wts(hyp, StatisticInput(t, sigma, _require(args.n, "--n")))
-        else:  # ats-s
-            result = ats_standardized(
-                hyp, StatisticInput(t, sigma, _require(args.n, "--n"))
-            )
+        # MATS carries no sample-size factor, so --n is optional there.
+        n = 1.0 if args.kind == "mats" and args.n is None else _require(args.n, "--n")
+        statistic = {"wts": wts, "mats": mats, "ats-s": ats_standardized}[args.kind]
+        result = statistic(hyp, StatisticInput(t, sigma, n))
     print(f"{result.value:.12g}")
 
 

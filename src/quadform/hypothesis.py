@@ -19,7 +19,6 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _gram_factor,
-    _rank_cutoff,
     as_matrix,
     as_vector,
     rref,
@@ -166,9 +165,7 @@ def equivalent(
         return EquivalenceVerdict.INCONSISTENT_LEFT
     if not c2:
         return EquivalenceVerdict.INCONSISTENT_RIGHT
-    if p1 != p2:
-        return EquivalenceVerdict.NOT_EQUIVALENT
-    if np.allclose(r1, r2, rtol=tol.eq_tol, atol=tol.eq_tol):
+    if p1 == p2 and np.allclose(r1, r2, rtol=tol.eq_tol, atol=tol.eq_tol):
         return EquivalenceVerdict.EQUIVALENT
     return EquivalenceVerdict.NOT_EQUIVALENT
 
@@ -203,8 +200,7 @@ def projection_form(hyp: LinearHypothesis, tol: Tolerance | None = None) -> Proj
     tol = tol or DEFAULT_TOLERANCE
     if not is_consistent(hyp, tol):
         raise InconsistentHypothesisError("no projection form: hypothesis has no solution")
-    w, lam, v, c = _gram_factor(hyp.h, tol)
-    p = w.T @ (w / lam[:, None])
+    p, w, lam, v, c = _gram_factor(hyp.h, tol)
     if not hyp.y.any():
         return ProjectionForm(p, True, np.zeros(hyp.d))
     y_out = w.T @ ((v.T @ hyp.y) / lam) / c
@@ -215,7 +211,8 @@ def projection_form(hyp: LinearHypothesis, tol: Tolerance | None = None) -> Proj
 def dependence_classes(h, tol: Tolerance | None = None) -> DependencePartition:
     """Group matrix rows into zero rows and classes of pairwise parallel rows.
 
-    A row counts as zero when its norm is at or below the rank cutoff.  Two
+    A row counts as zero only when its norm is exactly zero, the rule
+    :func:`rref` applies to a single row; ``rank_tol`` plays no part here.  Two
     rows share a class when their unit-normalized forms, with sign fixed so
     the first significant component is positive, agree entrywise within
     ``eq_tol``.  Each member's coefficient relative to the class
@@ -224,12 +221,11 @@ def dependence_classes(h, tol: Tolerance | None = None) -> DependencePartition:
     h = as_matrix(h)
     tol = tol or DEFAULT_TOLERANCE
     norms = np.linalg.norm(h, axis=1)
-    zero_cut = _rank_cutoff(norms, h.shape, tol)
     zero_rows: list[int] = []
     groups: list[tuple[list[int], list[float]]] = []
     units: list[np.ndarray] = []
     for i in range(h.shape[0]):
-        if norms[i] <= zero_cut:
+        if norms[i] == 0.0:
             zero_rows.append(i)
             continue
         u = h[i] / norms[i]

@@ -17,7 +17,8 @@ from .linalg import as_matrix, as_vector
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a matrix from a CSV file, naming the offending line on bad input."""
     rows: list[tuple[int, list[float]]] = []
-    with open(path, newline="") as fh:
+    # Bytes that are not UTF-8 decode to U+FFFD, which then reads as a non-numeric entry.
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -1,4 +1,4 @@
-"""Dense real-matrix primitives: SVD, pseudo-inverse, rank, RREF, projectors.
+"""Dense real-matrix primitives: pseudo-inverse, rank, RREF, projectors.
 
 All operations are pure functions over numpy arrays.  Inputs are validated
 eagerly: matrices must be 2-d, nonempty and finite, so numerical routines
@@ -40,8 +40,10 @@ class Tolerance:
     ``rank_tol`` is an absolute singular-value cutoff; ``None`` derives the
     standard scale-invariant cutoff from the matrix itself.  Inside
     :func:`rref`, and so in every consistency decision, it is a relative
-    multiplier against each row's running magnitude.  ``eq_tol`` is the
-    relative tolerance for entrywise matrix comparisons.
+    multiplier against each row's running magnitude.  It plays no part in
+    the zero rows of ``dependence_classes`` and ``reduce_for_ats``, which
+    are exactly-zero rows.  ``eq_tol`` is the relative tolerance for
+    entrywise matrix comparisons.
     """
 
     rank_tol: float | None = None
@@ -79,15 +81,10 @@ def as_vector(v) -> np.ndarray:
     return x
 
 
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD: returns ``(u, s, vt)`` with ``a == u @ diag(s) @ vt``.
-
-    Singular values come sorted in descending order; ``u`` has orthonormal
-    columns and ``vt`` orthonormal rows.
-    """
-    a = as_matrix(a)
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """Thin SVD of a validated matrix; singular values come sorted descending."""
     try:
-        return np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
 
@@ -107,7 +104,7 @@ def pinv(a, tol: Tolerance | None = None) -> np.ndarray:
     """
     a = as_matrix(a)
     tol = tol or DEFAULT_TOLERANCE
-    u, s, vt = svd(a)
+    u, s, vt = _svd(a)
     keep = s > _rank_cutoff(s, a.shape, tol)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
@@ -147,12 +144,12 @@ def _quadratic_form(lam: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
 
 def _gram_factor(
     h: np.ndarray, tol: Tolerance | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Factor the Gram matrix of ``h`` with ``h`` first scaled to entries below 2.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Row-space projector of ``h`` and the factor of its scaled Gram matrix.
 
-    Returns ``(w, lam, v, c)`` with ``h == c * hs`` for a power of two ``c``,
-    ``(lam, v)`` the kept eigenpairs of ``hs @ hs.T`` and ``w = v.T @ hs``, so
-    that ``h.T (h h.T)^+ h == w.T diag(1 / lam) w`` and
+    Returns ``(p, w, lam, v, c)`` with ``h == c * hs`` for a power of two
+    ``c``, ``(lam, v)`` the kept eigenpairs of ``hs @ hs.T``, ``w = v.T @ hs``
+    and the projector ``p == h.T (h h.T)^+ h == w.T diag(1 / lam) w``; also
     ``h.T (h h.T)^+ b == w.T diag(1 / lam) v.T b / c``.  Scaling by a power
     of two rounds nothing, and it keeps the Gram matrix clear of overflow and
     underflow however ``h`` is scaled; an absolute ``rank_tol``, which applies
@@ -165,14 +162,15 @@ def _gram_factor(
     if tol.rank_tol is not None:
         tol = replace(tol, rank_tol=min(tol.rank_tol / c / c, _MAX))
     lam, v = _symmetric_factor(hs @ hs.T, tol)
-    return v.T @ hs, lam, v, c
+    w = v.T @ hs
+    return w.T @ (w / lam[:, None]), w, lam, v, c
 
 
 def rank(a, tol: Tolerance | None = None) -> int:
     """Numerical rank: the number of singular values above the cutoff."""
     a = as_matrix(a)
     tol = tol or DEFAULT_TOLERANCE
-    s = svd(a)[1]
+    s = _svd(a, compute_uv=False)
     return int(np.count_nonzero(s > _rank_cutoff(s, a.shape, tol)))
 
 
@@ -228,10 +226,4 @@ def projection(h, tol: Tolerance | None = None) -> np.ndarray:
     row space produces the same result; it is symmetric and idempotent up to
     rounding.  The result does not depend on the scale of ``h``.
     """
-    w, lam, _, _ = _gram_factor(as_matrix(h), tol)
-    return w.T @ (w / lam[:, None])
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, shape ``(ra * rb, ca * cb)``."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    return _gram_factor(as_matrix(h), tol)[0]

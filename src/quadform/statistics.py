@@ -116,6 +116,26 @@ def _check_match(hyp: LinearHypothesis, d: int) -> None:
         )
 
 
+def _wts_factor(
+    hyp: LinearHypothesis, sigma: np.ndarray, tol: Tolerance | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kept eigenpairs of the Wald kernel ``H Sigma H'``."""
+    return _symmetric_factor(hyp.h @ sigma @ hyp.h.T, tol)
+
+
+def _wald(
+    kind: str, hyp: LinearHypothesis, t: np.ndarray, scale: float, factor
+) -> StatisticResult:
+    """``scale * r' K^+ r`` with ``r = H t - y`` and ``factor()`` the kept eigenpairs of K.
+
+    Every Wald form goes through here.  ``factor`` is called only after the
+    length check, so a mismatch is reported before any kernel is built.
+    """
+    _check_match(hyp, t.shape[0])
+    r = hyp.h @ t - hyp.y
+    return _finish(kind, scale * _quadratic_form(*factor(), r), hyp.m)
+
+
 def wts(
     hyp: LinearHypothesis, inp: StatisticInput, tol: Tolerance | None = None
 ) -> StatisticResult:
@@ -125,11 +145,7 @@ def wts(
     set of the hypothesis, not on the concrete matrix encoding it, so any two
     equivalent systems give the same number.
     """
-    _check_match(hyp, inp.d)
-    r = hyp.h @ inp.t - hyp.y
-    kernel = hyp.h @ inp.sigma @ hyp.h.T
-    value = inp.n * _quadratic_form(*_symmetric_factor(kernel, tol), r)
-    return _finish("WTS", value, hyp.m)
+    return _wald("WTS", hyp, inp.t, inp.n, lambda: _wts_factor(hyp, inp.sigma, tol))
 
 
 def mats(
@@ -141,14 +157,12 @@ def mats(
     covariance to be strictly positive; under that condition the value shares
     the Wald statistic's invariance under the hypothesis-matrix choice.
     """
-    _check_match(hyp, inp.d)
     diag = np.diag(inp.sigma)
     if np.any(diag <= 0):
         raise ValueError("MATS requires strictly positive covariance diagonal entries")
-    r = hyp.h @ inp.t - hyp.y
-    kernel = (hyp.h * diag) @ hyp.h.T
-    value = _quadratic_form(*_symmetric_factor(kernel, tol), r)
-    return _finish("MATS", value, hyp.m)
+    return _wald(
+        "MATS", hyp, inp.t, 1.0, lambda: _symmetric_factor((hyp.h * diag) @ hyp.h.T, tol)
+    )
 
 
 def ats(hyp: LinearHypothesis, t, n: float) -> StatisticResult:
@@ -209,24 +223,19 @@ class WtsKernel:
                 f"{sigma.shape[0]}x{sigma.shape[1]}"
             )
         n = _sample_size(n)
-        kernel = hypothesis.h @ sigma @ hypothesis.h.T
-        lam, v = _symmetric_factor(kernel, tol)
+        lam, v = factor = _wts_factor(hypothesis, sigma, tol)
         lam.flags.writeable = False
         v.flags.writeable = False
         self._hypothesis = hypothesis
         self._n = n
-        self._lam = lam
-        self._v = v
+        self._factor = lambda: factor
 
     @property
     def hypothesis(self) -> LinearHypothesis:
         return self._hypothesis
 
     def evaluate(self, t) -> StatisticResult:
-        hyp = self._hypothesis
-        r = hyp.h @ as_vector(t) - hyp.y
-        value = self._n * _quadratic_form(self._lam, self._v, r)
-        return _finish("WTS", value, hyp.m)
+        return _wald("WTS", self._hypothesis, as_vector(t), self._n, self._factor)
 
 
 def vech_upper(v) -> np.ndarray:
@@ -244,7 +253,7 @@ def vech_upper(v) -> np.ndarray:
 
 
 def diag_selector(p: int) -> np.ndarray:
-    """Indicator of the diagonal positions in the vech ordering.
+    """Indicator of the diagonal positions in the vech ordering: ``vech(I_p)``.
 
     The returned vector s of length p(p+1)/2 satisfies
     ``s @ vech_upper(V) == trace(V)`` for symmetric V.
@@ -252,12 +261,7 @@ def diag_selector(p: int) -> np.ndarray:
     p = int(p)
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    out = np.zeros(p * (p + 1) // 2)
-    idx = 0
-    for i in range(p):
-        out[idx] = 1.0
-        idx += p - i
-    return out
+    return np.eye(p)[np.triu_indices(p)]
 
 
 def sample_covariance(x) -> np.ndarray:

@@ -18,7 +18,6 @@ from quadform import (
     LinearHypothesis,
     ats,
     ats_standardized,
-    build_setting_b,
     diag_selector,
     equivalent,
     mats,
@@ -29,6 +28,7 @@ from quadform import (
     wts,
 )
 from quadform import StatisticInput
+from quadform.bench import build_setting_b
 
 from helpers import (
     HARNESS_TOL,

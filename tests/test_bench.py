@@ -7,16 +7,19 @@ from quadform import (
     BenchConfig,
     EquivalenceVerdict,
     LinearHypothesis,
-    build_setting_a,
-    build_setting_b,
     emit_report,
     equivalent,
     rank,
     run_benchmark,
-    sample_compound_symmetry_normal,
     sample_covariance,
 )
-from quadform.bench import BenchReport, BenchRow
+from quadform.bench import (
+    BenchReport,
+    BenchRow,
+    build_setting_a,
+    build_setting_b,
+    sample_compound_symmetry_normal,
+)
 
 
 class TestSampler:

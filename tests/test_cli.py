@@ -7,13 +7,11 @@ from quadform import (
     LinearHypothesis,
     StatisticInput,
     canonical_form,
-    read_matrix_csv,
     reduce_for_ats,
-    write_matrix_csv,
-    write_vector_csv,
     wts,
 )
 from quadform.cli import main
+from quadform.io import read_matrix_csv, write_matrix_csv, write_vector_csv
 
 CENTERING_3 = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]) / 3.0
 
@@ -188,6 +186,32 @@ class TestCsvErrors:
         assert "e" in path.read_text() or "E" in path.read_text()
         np.testing.assert_array_equal(read_matrix_csv(path), values)
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xef\xbb\xbf1,2\n",
+            b"1,2,\n",
+            b"1,nan\n",
+            b"inf,2\n",
+            b"",
+            b"\xff\xfe1,2\n",
+            None,
+        ],
+        ids=["utf8-bom", "trailing-comma", "nan", "inf", "empty", "undecodable", "directory"],
+    )
+    def test_malformed_hypothesis_file_is_user_error(self, tmp_path, capsys, content):
+        path = tmp_path / "h.csv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        y = _write_vec(tmp_path, "y.csv", [0.0])
+        assert main(["canon", "--hypothesis", str(path), "--rhs", y]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+        assert "Traceback" not in err
+
     def test_inputs_never_mutated(self, tmp_path, capsys):
         h = _write(tmp_path, "h.csv", np.eye(2))
         y = _write_vec(tmp_path, "y.csv", [1.0, 2.0])
@@ -223,6 +247,13 @@ class TestBenchCommand:
     def test_bad_dims_is_user_error(self, capsys):
         assert main(["bench", "--setting", "A", "--dims", "2,x"]) == 1
         assert "--dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_is_user_error(self, capsys, recwarn, gamma):
+        args = ["bench", "--setting", "B", "--dims", "2", "--reps", "1", "--gamma", gamma]
+        assert main(args) == 1
+        assert "gamma" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestUsageErrors:

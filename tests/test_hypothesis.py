@@ -7,6 +7,8 @@ from quadform import (
     EquivalenceVerdict,
     InconsistentHypothesisError,
     LinearHypothesis,
+    Tolerance,
+    ats,
     canonical_form,
     dependence_classes,
     equivalent,
@@ -362,6 +364,23 @@ class TestReduceForAts:
     def test_trivial_hypothesis(self):
         out = reduce_for_ats(LinearHypothesis(np.zeros((2, 2)), np.zeros(2)))
         np.testing.assert_allclose(out.h, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize(
+        "h, y, t, tol",
+        [
+            # A row far below the largest one is small, not zero.
+            ([[1.0, 0.0], [0.0, 1e-20]], [0.0, 0.0], [0.0, 1e20], None),
+            # An explicit rank_tol above every row norm drops no row either.
+            (1e-9 * np.eye(2), [1e-9, 0.0], [0.0, 0.0], Tolerance(rank_tol=1e-8)),
+        ],
+        ids=["small-row", "rank-tol-above-norms"],
+    )
+    def test_only_exactly_zero_rows_are_dropped(self, h, y, t, tol):
+        hyp = LinearHypothesis(h, y)
+        out = reduce_for_ats(hyp, tol)
+        assert dependence_classes(hyp.h, tol).zero_rows == ()
+        assert equivalent(hyp, out, tol) is EquivalenceVerdict.EQUIVALENT
+        np.testing.assert_allclose(ats(out, t, 10).value, ats(hyp, t, 10).value, rtol=1e-12)
 
 
 def test_projector_fixtures_are_rank_deficient():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from quadform import NumericError, Tolerance, kron, pinv, projection, rank, rref, svd
+from quadform import NumericError, Tolerance, pinv, projection, rank, rref
+from quadform.linalg import _svd as svd
 from quadform.linalg import as_matrix, as_vector
 
 from helpers import HARNESS_TOL, shaped_matrix, well_conditioned
@@ -224,23 +225,6 @@ class TestProjection:
             p1 = projection(h, HARNESS_TOL)
             p2 = projection(g @ h, HARNESS_TOL)
             assert np.linalg.norm(p1 - p2) <= 1e-9
-
-
-class TestKron:
-    def test_identity_scalar(self):
-        np.testing.assert_allclose(kron(np.eye(2), [[5.0]]), [[5.0, 0.0], [0.0, 5.0]])
-
-    def test_row_with_ones_block(self):
-        out = kron([[1.0, -1.0]], np.ones((2, 2)))
-        np.testing.assert_allclose(out, [[1, 1, -1, -1], [1, 1, -1, -1]])
-
-    def test_scalar_one_is_neutral(self):
-        p2 = np.eye(2) - np.full((2, 2), 0.5)
-        np.testing.assert_allclose(kron(p2, [[1.0]]), p2)
-
-    def test_shape(self):
-        out = kron(np.ones((2, 3)), np.ones((4, 5)))
-        assert out.shape == (8, 15)
 
 
 def test_svd_failure_is_numeric_error():

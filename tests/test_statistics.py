@@ -277,6 +277,13 @@ class TestWtsKernel:
                 t = rng.standard_normal(d)
                 assert kernel.evaluate(t).value == wts(hyp, StatisticInput(t, sigma, 5)).value
 
+    def test_evaluate_checks_vector_length(self):
+        kernel = WtsKernel(LinearHypothesis(np.eye(2), np.zeros(2)), np.eye(2), 1)
+        with pytest.raises(
+            ValueError, match="hypothesis has 2 columns but the statistic vector has length 3"
+        ):
+            kernel.evaluate(np.ones(3))
+
     def test_validates_inputs(self):
         hyp = LinearHypothesis(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError, match="columns"):
