@@ -10,6 +10,7 @@ ANOVA-type statistic unchanged.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
-    _gram_factor,
+    _svd,
     as_matrix,
     as_vector,
     rref,
@@ -82,6 +83,10 @@ class LinearHypothesis:
         return np.column_stack([self.h, self.y])
 
 
+# What _reduced_augmented returns: echelon rows, pivot columns, consistency.
+_Reduced = tuple[np.ndarray, list[int], bool]
+
+
 class ProjectionForm(NamedTuple):
     """Projector encoding of a hypothesis: ``p theta = y`` plus an equivalence flag."""
 
@@ -110,7 +115,7 @@ class DependenceClass:
     @property
     def weight(self) -> float:
         """Row multiplier preserving quadratic row sums: sqrt of summed squared coefficients."""
-        return float(np.sqrt(np.sum(np.square(self.coefficients))))
+        return math.hypot(*self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -134,9 +139,7 @@ def is_consistent(hyp: LinearHypothesis, tol: Tolerance | None = None) -> bool:
     return _reduced_augmented(hyp, tol or DEFAULT_TOLERANCE)[2]
 
 
-def _reduced_augmented(
-    hyp: LinearHypothesis, tol: Tolerance
-) -> tuple[np.ndarray, list[int], bool]:
+def _reduced_augmented(hyp: LinearHypothesis, tol: Tolerance) -> _Reduced:
     """RREF of [H | y] with zero rows dropped, plus pivots and a consistency flag.
 
     A pivot landing in the y column means no solution exists.
@@ -157,8 +160,12 @@ def equivalent(
     tol = tol or DEFAULT_TOLERANCE
     if h1.d != h2.d:
         raise ValueError(f"hypotheses constrain different spaces: d={h1.d} vs d={h2.d}")
-    r1, p1, c1 = _reduced_augmented(h1, tol)
-    r2, p2, c2 = _reduced_augmented(h2, tol)
+    return _compare_reduced(_reduced_augmented(h1, tol), _reduced_augmented(h2, tol), tol)
+
+
+def _compare_reduced(left: _Reduced, right: _Reduced, tol: Tolerance) -> EquivalenceVerdict:
+    """The :func:`equivalent` verdict on two :func:`_reduced_augmented` results."""
+    (r1, p1, c1), (r2, p2, c2) = left, right
     if not c1 and not c2:
         return EquivalenceVerdict.BOTH_INCONSISTENT
     if not c1:
@@ -191,20 +198,25 @@ def canonical_form(hyp: LinearHypothesis, tol: Tolerance | None = None) -> Linea
 def projection_form(hyp: LinearHypothesis, tol: Tolerance | None = None) -> ProjectionForm:
     """Express the hypothesis through the unique projector onto H's row space.
 
-    Returns ``(p, equivalent, y)`` with ``p = HT (H HT)^+ H``.  For a zero
+    Returns ``(p, equivalent, y)`` with ``p = HT (H HT)^+ H``, computed as
+    ``R^+ R`` from the echelon rows ``[R | y_R]`` of :func:`canonical_form`.
+    ``R`` holds an identity in its pivot columns, so ``trace(p)`` is the
+    number of pivots however the rows of H are scaled.  For a zero
     right-hand side, ``p theta = 0`` always has the original solution set.
-    Otherwise the right-hand side is mapped to ``HT (H HT)^+ y`` and the flag
-    records whether ``p theta = y_out`` still encodes the same hypothesis,
-    verified through :func:`equivalent` rather than assumed.
+    Otherwise the right-hand side is mapped to ``R^+ y_R == HT (H HT)^+ y``
+    and the flag records whether ``p theta = y_out`` still encodes the same
+    hypothesis, verified as :func:`equivalent` would rather than assumed.
     """
     tol = tol or DEFAULT_TOLERANCE
-    if not is_consistent(hyp, tol):
+    rows, _, consistent = reduced = _reduced_augmented(hyp, tol)
+    if not consistent:
         raise InconsistentHypothesisError("no projection form: hypothesis has no solution")
-    p, w, lam, v, c = _gram_factor(hyp.h, tol)
+    u, s, vt = _svd(rows[:, :-1])
+    p = vt.T @ vt
     if not hyp.y.any():
         return ProjectionForm(p, True, np.zeros(hyp.d))
-    y_out = w.T @ ((v.T @ hyp.y) / lam) / c
-    verdict = equivalent(hyp, LinearHypothesis(p, y_out), tol)
+    y_out = vt.T @ ((u.T @ rows[:, -1]) / s)
+    verdict = _compare_reduced(reduced, _reduced_augmented(LinearHypothesis(p, y_out), tol), tol)
     return ProjectionForm(p, verdict is EquivalenceVerdict.EQUIVALENT, y_out)
 
 
@@ -217,10 +229,14 @@ def dependence_classes(h, tol: Tolerance | None = None) -> DependencePartition:
     the first significant component is positive, agree entrywise within
     ``eq_tol``.  Each member's coefficient relative to the class
     representative (the smallest row index) is recovered by projection.
+    Both are computed from each row divided by a power of two near its
+    largest entry, which rounds nothing and keeps the squares in range.
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOLERANCE
-    norms = np.linalg.norm(h, axis=1)
+    g = np.ldexp(1.0, np.frexp(np.max(np.abs(h), axis=1))[1] - 1)
+    hs = h / g[:, None]
+    norms = np.linalg.norm(hs, axis=1)
     zero_rows: list[int] = []
     groups: list[tuple[list[int], list[float]]] = []
     units: list[np.ndarray] = []
@@ -228,7 +244,7 @@ def dependence_classes(h, tol: Tolerance | None = None) -> DependencePartition:
         if norms[i] == 0.0:
             zero_rows.append(i)
             continue
-        u = h[i] / norms[i]
+        u = hs[i] / norms[i]
         lead = int(np.argmax(np.abs(u) > tol.eq_tol))
         if u[lead] < 0:
             u = -u
@@ -236,7 +252,7 @@ def dependence_classes(h, tol: Tolerance | None = None) -> DependencePartition:
             if np.max(np.abs(u - ref)) <= tol.eq_tol:
                 rep = members[0]
                 members.append(i)
-                coeffs.append(float(h[i] @ h[rep] / norms[rep] ** 2))
+                coeffs.append(float(hs[i] @ hs[rep] / norms[rep] ** 2 * (g[i] / g[rep])))
                 break
         else:
             units.append(u)

@@ -6,22 +6,23 @@ never see NaN or Inf.  Rank decisions are governed by a :class:`Tolerance`;
 the default singular-value cutoff is ``max(rows, cols) * eps * s_max``, which
 makes them invariant under rescaling of the input.
 
-The public :func:`pinv` runs a general SVD and accepts rectangular input.
-Every internal pseudo-inverse is of a symmetric matrix (a Wald-type kernel
-``H Sigma H'`` or a Gram matrix ``H H'``) and uses one symmetric
+The public :func:`pinv` and :func:`projection` read the row space of their
+input from one truncated thin SVD, cut where :func:`rank` cuts, so the trace
+of a projector is the rank of its matrix.  Every internal pseudo-inverse is of
+a symmetric Wald-type kernel ``H Sigma H'`` and uses one symmetric
 eigendecomposition instead: the singular values of a symmetric matrix are the
 magnitudes of its eigenvalues, so keeping the eigenpairs with ``|lambda|``
 above the same cutoff makes the same rank decision at a fraction of the cost.
+No Gram matrix ``H H'`` is formed, since it would square the condition number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
-_MAX = float(np.finfo(np.float64).max)
 
 # Zero-snap safety factor for row elimination.  Cancellation residue of a
 # dependent row can exceed a bare max(m, n) * eps multiple of the row scale
@@ -37,13 +38,15 @@ class NumericError(RuntimeError):
 class Tolerance:
     """Numerical thresholds shared by the rank-sensitive operations.
 
-    ``rank_tol`` is an absolute singular-value cutoff; ``None`` derives the
-    standard scale-invariant cutoff from the matrix itself.  Inside
-    :func:`rref`, and so in every consistency decision, it is a relative
-    multiplier against each row's running magnitude.  It plays no part in
-    the zero rows of ``dependence_classes`` and ``reduce_for_ats``, which
-    are exactly-zero rows.  ``eq_tol`` is the relative tolerance for
-    entrywise matrix comparisons.
+    ``rank_tol`` is an absolute singular-value cutoff for :func:`pinv`,
+    :func:`rank`, :func:`projection` and the Wald-type kernels; ``None``
+    derives the standard scale-invariant cutoff from the matrix itself.
+    Inside :func:`rref`, and so in every hypothesis-level decision
+    (consistency, equivalence, canonical form and ``projection_form``), it
+    is a relative multiplier against each row's running magnitude.  It plays
+    no part in the zero rows of ``dependence_classes`` and
+    ``reduce_for_ats``, which are exactly-zero rows.  ``eq_tol`` is the
+    relative tolerance for entrywise matrix comparisons.
     """
 
     rank_tol: float | None = None
@@ -89,10 +92,18 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
         raise NumericError(f"SVD did not converge: {exc}") from exc
 
 
-def _rank_cutoff(s: np.ndarray, shape: tuple[int, int], tol: Tolerance) -> float:
-    if tol.rank_tol is not None:
-        return tol.rank_tol
+def _rank_cutoff(s: np.ndarray, shape: tuple[int, int], tol: Tolerance | None) -> float:
+    rank_tol = (tol or DEFAULT_TOLERANCE).rank_tol
+    if rank_tol is not None:
+        return rank_tol
     return max(shape) * _EPS * float(s.max(initial=0.0))
+
+
+def _row_space(a: np.ndarray, tol: Tolerance | None):
+    """Thin SVD ``(u, s, vt)`` of ``a`` cut to its :func:`rank` largest singular triples."""
+    u, s, vt = _svd(a)
+    k = int(np.count_nonzero(s > _rank_cutoff(s, a.shape, tol)))
+    return u[:, :k], s[:k], vt[:k]
 
 
 def pinv(a, tol: Tolerance | None = None) -> np.ndarray:
@@ -102,13 +113,8 @@ def pinv(a, tol: Tolerance | None = None) -> np.ndarray:
     so rank-deficient kernels invert cleanly on their range.  The result
     satisfies the four Penrose conditions up to rounding.
     """
-    a = as_matrix(a)
-    tol = tol or DEFAULT_TOLERANCE
-    u, s, vt = _svd(a)
-    keep = s > _rank_cutoff(s, a.shape, tol)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    u, s, vt = _row_space(as_matrix(a), tol)
+    return (vt.T / s) @ u.T
 
 
 def _symmetric_factor(
@@ -121,7 +127,6 @@ def _symmetric_factor(
     applies to the singular values, which for a symmetric matrix are exactly
     the ``|lam|``; each kept ``lam`` keeps its sign.
     """
-    tol = tol or DEFAULT_TOLERANCE
     if a.shape == (1, 1):
         # What eigh returns for 1 x 1 input, without its LAPACK call overhead;
         # one-row hypotheses, the paper's minimal encodings, have such kernels.
@@ -142,34 +147,9 @@ def _quadratic_form(lam: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
     return float((z / lam) @ z)
 
 
-def _gram_factor(
-    h: np.ndarray, tol: Tolerance | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Row-space projector of ``h`` and the factor of its scaled Gram matrix.
-
-    Returns ``(p, w, lam, v, c)`` with ``h == c * hs`` for a power of two
-    ``c``, ``(lam, v)`` the kept eigenpairs of ``hs @ hs.T``, ``w = v.T @ hs``
-    and the projector ``p == h.T (h h.T)^+ h == w.T diag(1 / lam) w``; also
-    ``h.T (h h.T)^+ b == w.T diag(1 / lam) v.T b / c``.  Scaling by a power
-    of two rounds nothing, and it keeps the Gram matrix clear of overflow and
-    underflow however ``h`` is scaled; an absolute ``rank_tol``, which applies
-    to the eigenvalues of ``h h.T``, is divided by ``c**2`` to match.
-    """
-    tol = tol or DEFAULT_TOLERANCE
-    top = float(np.max(np.abs(h)))
-    c = float(np.ldexp(1.0, np.frexp(top)[1] - 1)) if top > 0.0 else 1.0
-    hs = h / c
-    if tol.rank_tol is not None:
-        tol = replace(tol, rank_tol=min(tol.rank_tol / c / c, _MAX))
-    lam, v = _symmetric_factor(hs @ hs.T, tol)
-    w = v.T @ hs
-    return w.T @ (w / lam[:, None]), w, lam, v, c
-
-
 def rank(a, tol: Tolerance | None = None) -> int:
     """Numerical rank: the number of singular values above the cutoff."""
     a = as_matrix(a)
-    tol = tol or DEFAULT_TOLERANCE
     s = _svd(a, compute_uv=False)
     return int(np.count_nonzero(s > _rank_cutoff(s, a.shape, tol)))
 
@@ -222,8 +202,10 @@ def rref(a, tol: Tolerance | None = None) -> tuple[np.ndarray, list[int]]:
 def projection(h, tol: Tolerance | None = None) -> np.ndarray:
     """Orthogonal projector onto the row space of ``h``: ``hT (h hT)^+ h``.
 
-    The projector depends only on the row space, so any matrix with the same
-    row space produces the same result; it is symmetric and idempotent up to
-    rounding.  The result does not depend on the scale of ``h``.
+    It is ``w.T @ w`` for the orthonormal row-space basis ``w`` of the SVD
+    cut where :func:`rank` cuts, so its trace is ``rank(h, tol)``.  Any matrix
+    with the same row space gives the same projector, symmetric and
+    idempotent up to rounding, whatever the scale of ``h``.
     """
-    return _gram_factor(as_matrix(h), tol)[0]
+    w = _row_space(as_matrix(h), tol)[2]
+    return w.T @ w

@@ -234,6 +234,12 @@ class TestProjectionForm:
         with pytest.raises(InconsistentHypothesisError):
             projection_form(bad)
 
+    def test_unconstrained_hypothesis_gives_zero_projector(self):
+        form = projection_form(LinearHypothesis(np.zeros((2, 3)), np.zeros(2)))
+        np.testing.assert_array_equal(form.p, np.zeros((3, 3)))
+        assert form.equivalent
+        np.testing.assert_array_equal(form.y, np.zeros(3))
+
     def test_projector_with_unchanged_rhs_breaks_the_hypothesis(self):
         # Frozen counterexample: replacing H by its projector while keeping
         # the original nonzero right-hand side changes the solution set.
@@ -372,8 +378,19 @@ class TestReduceForAts:
             ([[1.0, 0.0], [0.0, 1e-20]], [0.0, 0.0], [0.0, 1e20], None),
             # An explicit rank_tol above every row norm drops no row either.
             (1e-9 * np.eye(2), [1e-9, 0.0], [0.0, 0.0], Tolerance(rank_tol=1e-8)),
+            # Squared entries of these rows underflow or overflow.
+            ([[1e-170, 0.0], [0.0, 1.0]], [0.0, 0.0], [1e170, 0.0], None),
+            ([[1e160, 2e160], [2e160, 4e160]], [0.0, 0.0], [1e-160, 0.0], None),
+            # The class coefficient 1e160 overflows when squared.
+            ([[1e-100, 0.0], [1e60, 0.0]], [0.0, 0.0], [1e-60, 0.0], None),
         ],
-        ids=["small-row", "rank-tol-above-norms"],
+        ids=[
+            "small-row",
+            "rank-tol-above-norms",
+            "underflowing-row",
+            "overflowing-rows",
+            "overflowing-coefficient",
+        ],
     )
     def test_only_exactly_zero_rows_are_dropped(self, h, y, t, tol):
         hyp = LinearHypothesis(h, y)

@@ -189,13 +189,16 @@ class TestProjection:
         # H H' underflows or overflows at these scales; the projector must not.
         np.testing.assert_allclose(projection(scale * H_ALL_PAIRS), CENTERING_3, atol=1e-12)
 
-    def test_absolute_cutoff_applies_to_the_unscaled_gram_matrix(self):
-        # H H' has eigenvalues 9 and 9e-12, straddled by the two cutoffs.
+    @pytest.mark.parametrize(
+        "cutoff, expected", [(1e-6, [1.0, 1.0]), (1e-5, [1.0, 0.0])], ids=["keeps", "drops"]
+    )
+    def test_absolute_cutoff_applies_to_the_singular_values(self, cutoff, expected):
+        # h has singular values 3 and 3e-6, straddled by the two cutoffs.
         h = np.diag([3.0, 3e-6])
-        np.testing.assert_allclose(projection(h, Tolerance(rank_tol=5e-12)), np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(
-            projection(h, Tolerance(rank_tol=2e-11)), np.diag([1.0, 0.0]), atol=1e-12
-        )
+        tol = Tolerance(rank_tol=cutoff)
+        p = projection(h, tol)
+        np.testing.assert_allclose(p, np.diag(expected), atol=1e-12)
+        assert round(np.trace(p)) == rank(h, tol)
 
     def test_sphericity_projector(self):
         # equal-variance, zero-covariance constraint in vech coordinates

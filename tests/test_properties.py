@@ -1,5 +1,5 @@
-"""Property-based checks of the symmetric factorization, the Wald-type forms and
-the consistency decision.
+"""Property-based checks of the symmetric factorization, the Wald-type forms,
+the consistency decision and the projectors.
 
 Examples are derandomized, so every run draws the same ones.  Floats inside a
 matrix come from a numpy generator seeded by the drawn ``seed``; the drawn
@@ -21,6 +21,8 @@ from quadform import (
     is_consistent,
     mats,
     pinv,
+    projection,
+    projection_form,
     rank,
     wts,
 )
@@ -145,3 +147,42 @@ def test_consistency_verdicts_unchanged_by_power_of_two_scaling(seed, log10_offs
         # divides it back out, so the canonical forms agree bit for bit.
         np.testing.assert_array_equal(canon_scaled.h, canon.h)
         np.testing.assert_array_equal(canon_scaled.y, canon.y)
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    d=st.integers(2, 6),
+    ks=st.lists(st.integers(-60, 60), min_size=1, max_size=5),
+    log10_gap=st.one_of(st.none(), st.floats(-10.0, -6.0)),
+)
+def test_projectors_follow_the_rank_decisions_under_row_scaling(seed, d, ks, log10_gap):
+    rng = np.random.default_rng(seed)
+    h = shaped_matrix(rng, len(ks), d, int(rng.integers(1, min(len(ks), d) + 1)))
+    if log10_gap is not None:
+        # A nearly parallel copy of row 0: H H' would square the gap.
+        h = np.vstack([h, h[0] + 10.0**log10_gap * rng.standard_normal(d)])
+        ks = [*ks, ks[0]]
+    h = np.ldexp(h, np.array(ks)[:, None])
+    hyp = LinearHypothesis(h, h @ rng.standard_normal(d))
+    assert round(np.trace(projection(h))) == rank(h)
+    canon = _canonical_or_none(hyp)
+    if canon is None:
+        with pytest.raises(InconsistentHypothesisError):
+            projection_form(hyp)
+        return
+    form = projection_form(hyp)
+    assert round(np.trace(form.p)) == canon.m
+    assert form.equivalent
+
+
+def test_projectors_keep_a_row_1e9_times_smaller():
+    # H H' has eigenvalues 1 and 1e-18 here, the second under its rank cutoff.
+    h = np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 0.0]])
+    kept = np.diag([1.0, 1.0, 0.0])
+    assert rank(h) == 2
+    np.testing.assert_allclose(projection(h), kept, atol=1e-12)
+    form = projection_form(LinearHypothesis(h, [1.0, 1e-9]))
+    np.testing.assert_allclose(form.p, kept, atol=1e-12)
+    assert form.equivalent
+    np.testing.assert_allclose(form.y, [1.0, 1.0, 0.0], atol=1e-12)
