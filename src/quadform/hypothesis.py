@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
+    _pow2_scale,
     _svd,
     as_matrix,
     as_vector,
@@ -234,7 +235,7 @@ def dependence_classes(h, tol: Tolerance | None = None) -> DependencePartition:
     """
     h = as_matrix(h)
     tol = tol or DEFAULT_TOLERANCE
-    g = np.ldexp(1.0, np.frexp(np.max(np.abs(h), axis=1))[1] - 1)
+    g = _pow2_scale(h, axis=1)
     hs = h / g[:, None]
     norms = np.linalg.norm(hs, axis=1)
     zero_rows: list[int] = []

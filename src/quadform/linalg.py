@@ -9,11 +9,12 @@ makes them invariant under rescaling of the input.
 The public :func:`pinv` and :func:`projection` read the row space of their
 input from one truncated thin SVD, cut where :func:`rank` cuts, so the trace
 of a projector is the rank of its matrix.  Every internal pseudo-inverse is of
-a symmetric Wald-type kernel ``H Sigma H'`` and uses one symmetric
-eigendecomposition instead: the singular values of a symmetric matrix are the
-magnitudes of its eigenvalues, so keeping the eigenpairs with ``|lambda|``
-above the same cutoff makes the same rank decision at a fraction of the cost.
-No Gram matrix ``H H'`` is formed, since it would square the condition number.
+a Wald-type kernel ``H Sigma H'`` built from a covariance already checked to be
+positive semidefinite, and uses one symmetric eigendecomposition instead: the
+singular values of a symmetric matrix are the magnitudes of its eigenvalues,
+so the same cutoff applies to them at a fraction of the cost.  Only positive
+eigenvalues above it are kept; negative ones are rounding.  No Gram matrix
+``H H'`` is formed, since it would square the condition number.
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ def as_vector(v) -> np.ndarray:
     return x
 
 
+def _pow2_scale(a: np.ndarray, axis: int | None = None):
+    """A power of two near the largest ``|a|``, over all of ``a`` or along ``axis``.
+
+    Dividing by it rounds nothing and brings the largest entry into [1, 2)
+    (an all-zero input gets 0.5), so norms and sums of squares of the result
+    neither overflow nor underflow, whatever the scale of ``a``.
+    """
+    return np.ldexp(1.0, np.frexp(np.max(np.abs(a), axis=axis))[1] - 1)
+
+
 def _svd(a: np.ndarray, compute_uv: bool = True):
     """Thin SVD of a validated matrix; singular values come sorted descending."""
     try:
@@ -117,15 +128,15 @@ def pinv(a, tol: Tolerance | None = None) -> np.ndarray:
     return (vt.T / s) @ u.T
 
 
-def _symmetric_factor(
-    a: np.ndarray, tol: Tolerance | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse of a symmetric matrix as its kept eigenpairs ``(lam, v)``.
+def _psd_factor(a: np.ndarray, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse of a symmetric PSD matrix as its kept eigenpairs ``(lam, v)``.
 
     ``a^+ == v @ diag(1 / lam) @ v.T``.  Only the lower triangle of ``a`` is
-    read.  An eigenpair is kept when ``|lam|`` exceeds the cutoff :func:`pinv`
-    applies to the singular values, which for a symmetric matrix are exactly
-    the ``|lam|``; each kept ``lam`` keeps its sign.
+    read.  An eigenpair is kept when ``lam`` exceeds the cutoff :func:`pinv`
+    applies to the singular values, which for a symmetric matrix are the
+    ``|lam|``.  So every kept ``lam`` is positive: a negative eigenvalue of a
+    kernel built from an accepted covariance is rounding, dropped like any
+    other eigenvalue under the cutoff.
     """
     if a.shape == (1, 1):
         # What eigh returns for 1 x 1 input, without its LAPACK call overhead;
@@ -136,15 +147,8 @@ def _symmetric_factor(
             lam, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"symmetric eigendecomposition did not converge: {exc}") from exc
-    mag = np.abs(lam)
-    keep = mag > _rank_cutoff(mag, a.shape, tol)
+    keep = lam > _rank_cutoff(np.abs(lam), a.shape, tol)
     return lam[keep], v[:, keep]
-
-
-def _quadratic_form(lam: np.ndarray, v: np.ndarray, r: np.ndarray) -> float:
-    """``r' a^+ r`` from the kept eigenpairs of ``a``: the sum of ``(v_i' r)^2 / lam_i``."""
-    z = r @ v
-    return float((z / lam) @ z)
 
 
 def rank(a, tol: Tolerance | None = None) -> int:

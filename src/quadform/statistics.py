@@ -14,20 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypothesis import LinearHypothesis
-from .linalg import (
-    DEFAULT_TOLERANCE,
-    _EPS,
-    NumericError,
-    Tolerance,
-    _quadratic_form,
-    _symmetric_factor,
-    as_matrix,
-    as_vector,
-)
-
-# Quadratic forms with PSD kernels cannot be negative; values above this
-# floor are rounding noise and snap to zero, anything below is an error.
-_NEGATIVE_FLOOR = -1e-9
+from .linalg import _EPS, Tolerance, _pow2_scale, _psd_factor, as_matrix, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +24,9 @@ class StatisticInput:
     The covariance must be symmetric positive semidefinite; both properties
     are checked once at construction (within 1e-10 relative) so that the
     statistic evaluations themselves stay cheap inside resampling loops.
+    This is the library's one PSD decision, and no scale of the covariance
+    changes it: its norms are taken of the covariance divided by a power of
+    two.  Wald kernels built from an accepted covariance are factored as PSD.
     """
 
     t: np.ndarray
@@ -79,6 +69,7 @@ def _sample_size(n) -> float:
 
 
 def _check_symmetric(a: np.ndarray, message: str) -> None:
+    a = a / _pow2_scale(a)
     if float(np.linalg.norm(a - a.T)) > 1e-10 * float(np.linalg.norm(a)):
         raise ValueError(message)
 
@@ -92,21 +83,15 @@ def _covariance(sigma) -> np.ndarray:
     # A Cholesky factor exists only when the smallest eigenvalue is at least
     # about -d * eps * ||sigma||, far above the -1e-10 * ||sigma|| floor, so
     # success settles acceptance; singular and indefinite cases go to eigvalsh.
+    # Cholesky squares no entry of sigma, so unlike the norms it needs no scaling.
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        if float(np.linalg.eigvalsh(sigma)[0]) < -1e-10 * float(np.linalg.norm(sigma)):
+        scaled = sigma / _pow2_scale(sigma)
+        if float(np.linalg.eigvalsh(scaled)[0]) < -1e-10 * float(np.linalg.norm(scaled)):
             raise ValueError("covariance is not positive semidefinite") from None
     sigma.flags.writeable = False
     return sigma
-
-
-def _finish(kind: str, value: float, m: int) -> StatisticResult:
-    if value < _NEGATIVE_FLOOR:
-        raise NumericError(
-            f"{kind} evaluated to {value}; kernel is not PSD at working precision"
-        )
-    return StatisticResult(kind, max(value, 0.0), m)
 
 
 def _check_match(hyp: LinearHypothesis, d: int) -> None:
@@ -120,7 +105,7 @@ def _wts_factor(
     hyp: LinearHypothesis, sigma: np.ndarray, tol: Tolerance | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kept eigenpairs of the Wald kernel ``H Sigma H'``."""
-    return _symmetric_factor(hyp.h @ sigma @ hyp.h.T, tol)
+    return _psd_factor(hyp.h @ sigma @ hyp.h.T, tol)
 
 
 def _wald(
@@ -129,11 +114,14 @@ def _wald(
     """``scale * r' K^+ r`` with ``r = H t - y`` and ``factor()`` the kept eigenpairs of K.
 
     Every Wald form goes through here.  ``factor`` is called only after the
-    length check, so a mismatch is reported before any kernel is built.
+    length check, so a mismatch is reported before any kernel is built.  The
+    value is the sum of ``(v_i' r)^2 / lam_i`` over kept eigenpairs, each
+    ``lam_i`` positive, so it is never negative.
     """
     _check_match(hyp, t.shape[0])
-    r = hyp.h @ t - hyp.y
-    return _finish(kind, scale * _quadratic_form(*factor(), r), hyp.m)
+    lam, v = factor()
+    z = (hyp.h @ t - hyp.y) @ v
+    return StatisticResult(kind, scale * float((z / lam) @ z), hyp.m)
 
 
 def wts(
@@ -161,7 +149,7 @@ def mats(
     if np.any(diag <= 0):
         raise ValueError("MATS requires strictly positive covariance diagonal entries")
     return _wald(
-        "MATS", hyp, inp.t, 1.0, lambda: _symmetric_factor((hyp.h * diag) @ hyp.h.T, tol)
+        "MATS", hyp, inp.t, 1.0, lambda: _psd_factor((hyp.h * diag) @ hyp.h.T, tol)
     )
 
 
@@ -177,23 +165,27 @@ def ats(hyp: LinearHypothesis, t, n: float) -> StatisticResult:
     _check_match(hyp, t.shape[0])
     n = _sample_size(n)
     r = hyp.h @ t - hyp.y
-    return _finish("ATS", n * float(r @ r), hyp.m)
+    return StatisticResult("ATS", n * float(r @ r), hyp.m)
 
 
-def ats_standardized(
-    hyp: LinearHypothesis, inp: StatisticInput, tol: Tolerance | None = None
-) -> StatisticResult:
-    """ANOVA-type statistic divided by ``trace(H Sigma H')``."""
+def ats_standardized(hyp: LinearHypothesis, inp: StatisticInput) -> StatisticResult:
+    """ANOVA-type statistic divided by ``trace(H Sigma H')``.
+
+    Both are quadratic in ``(H, y)``, so the ratio is computed on ``H`` and
+    ``y`` divided by a power of two near the largest entry of ``H``.  That
+    rounds nothing, and keeps the sums of squares in range at any scale of H.
+    """
     _check_match(hyp, inp.d)
-    hs = hyp.h @ inp.sigma
-    denom = float(np.sum(hs * hyp.h))
-    floor = _EPS * float(np.linalg.norm(hyp.h) ** 2) * float(np.linalg.norm(inp.sigma))
+    g = _pow2_scale(hyp.h)
+    h, y = hyp.h / g, hyp.y / g
+    denom = float(np.sum((h @ inp.sigma) * h))
+    floor = _EPS * float(np.linalg.norm(h) ** 2) * float(np.linalg.norm(inp.sigma))
     if denom <= floor:
         raise ValueError(
             "trace(H Sigma H') vanishes; the hypothesis annihilates the covariance"
         )
-    raw = ats(hyp, inp.t, inp.n)
-    return StatisticResult("ATS_s", raw.value / denom, hyp.m)
+    r = h @ inp.t - y
+    return StatisticResult("ATS_s", inp.n * float(r @ r) / denom, hyp.m)
 
 
 class WtsKernel:

@@ -6,7 +6,6 @@ import pytest
 from quadform import (
     BenchConfig,
     EquivalenceVerdict,
-    LinearHypothesis,
     emit_report,
     equivalent,
     rank,

@@ -99,6 +99,21 @@ class TestStat:
             assert main(args) == 0
             float(capsys.readouterr().out)  # parses as a number
 
+    def test_wts_on_accepted_slightly_indefinite_sigma_exits_0(self, tmp_path, capsys):
+        # Sigma passes the covariance check, so no numeric failure may follow.
+        h = _write(tmp_path, "h.csv", np.eye(2))
+        y = _write_vec(tmp_path, "y.csv", [0.0, 0.0])
+        t = _write_vec(tmp_path, "t.csv", [0.3, 0.5])
+        s = _write(tmp_path, "s.csv", np.diag([1.0, -1e-11]))
+        code = main(
+            ["stat", "--kind", "wts", "--hypothesis", h, "--rhs", y,
+             "--t", t, "--sigma", s, "--n", "10"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.strip() == "0.9"
+        assert captured.err == ""
+
     def test_missing_n_is_user_error(self, tmp_path, capsys):
         h = _write(tmp_path, "h.csv", [[1.0]])
         y = _write_vec(tmp_path, "y.csv", [0.0])

@@ -1,4 +1,4 @@
-"""Property-based checks of the symmetric factorization, the Wald-type forms,
+"""Property-based checks of the PSD factorization, the Wald-type forms,
 the consistency decision and the projectors.
 
 Examples are derandomized, so every run draws the same ones.  Floats inside a
@@ -26,7 +26,7 @@ from quadform import (
     rank,
     wts,
 )
-from quadform.linalg import _rank_cutoff, _symmetric_factor
+from quadform.linalg import _psd_factor, _rank_cutoff
 
 from helpers import (
     near_tolerance_system,
@@ -55,20 +55,25 @@ tolerances = st.sampled_from([None, Tolerance(rank_tol=1e-8), Tolerance(rank_tol
 
 @PROPERTY
 @given(spectrum=st.lists(eigenvalues, min_size=1, max_size=8), seed=seeds, tol=tolerances)
-def test_symmetric_factor_matches_svd_pinv(spectrum, seed, tol):
+def test_psd_factor_matches_svd_pinv_of_the_psd_part(spectrum, seed, tol):
     n = len(spectrum)
     q = random_orthogonal(np.random.default_rng(seed), n)
     a = (q * np.array(spectrum)) @ q.T
     a = (a + a.T) / 2.0
+    psd = (q * np.maximum(spectrum, 0.0)) @ q.T
+    psd = (psd + psd.T) / 2.0
     s = np.linalg.svd(a, compute_uv=False)
     cutoff = _rank_cutoff(s, a.shape, tol or Tolerance())
     # A singular value within 4x of the cutoff is a near tie, which the two
     # factorizations may settle differently by rounding alone.
     assume(not np.any((s > cutoff / 4.0) & (s < 4.0 * cutoff)))
 
-    lam, v = _symmetric_factor(a, tol)
-    assert lam.size == rank(a, tol)
-    ref = pinv(a, tol)
+    lam, v = _psd_factor(a, tol)
+    assert np.all(lam > 0.0)
+    # The cutoff comes from all of a's spectrum, negative eigenvalues included.
+    psd_tol = Tolerance(rank_tol=cutoff)
+    assert lam.size == rank(psd, psd_tol)
+    ref = pinv(psd, psd_tol)
     np.testing.assert_allclose((v / lam) @ v.T, ref, atol=1e-10 * (1.0 + np.linalg.norm(ref)))
 
 
@@ -119,6 +124,39 @@ def test_kernel_evaluate_equals_wts_exactly(seed, d, zero_rows, duplicates, tol)
     for _ in range(3):
         t = rng.standard_normal(d)
         assert kernel.evaluate(t).value == wts(hyp, StatisticInput(t, sigma, n), tol).value
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    d=st.integers(2, 6),
+    extra_rows=st.integers(0, 2),
+    log10_rel=st.floats(-13.0, -10.5),
+    tol=tolerances,
+)
+def test_wald_forms_are_nonnegative_for_accepted_slightly_indefinite_sigma(
+    seed, d, extra_rows, log10_rel, tol
+):
+    # The smallest eigenvalue of Sigma is -10**log10_rel * ||Sigma||_F, inside
+    # the 1e-10 relative slack StatisticInput allows.
+    rng = np.random.default_rng(seed)
+    spectrum = rng.uniform(0.5, 2.0, size=d)
+    spectrum[-1] = -(10.0**log10_rel) * np.linalg.norm(spectrum[:-1])
+    q = random_orthogonal(rng, d)
+    sigma = (q * spectrum) @ q.T
+    sigma = (sigma + sigma.T) / 2.0
+    assume(np.all(np.diag(sigma) > 0))
+    m = d + extra_rows
+    h = shaped_matrix(rng, m, d, d)
+    hyp = LinearHypothesis(h, h @ rng.standard_normal(d))
+    t = rng.standard_normal(d)
+    inp = StatisticInput(t, sigma, float(rng.integers(1, 50)))
+    values = [
+        wts(hyp, inp, tol).value,
+        mats(hyp, inp, tol).value,
+        WtsKernel(hyp, sigma, inp.n, tol).evaluate(t).value,
+    ]
+    assert all(np.isfinite(v) and v >= 0.0 for v in values)
 
 
 def _canonical_or_none(hyp):

@@ -6,7 +6,6 @@ import pytest
 from quadform import (
     EquivalenceVerdict,
     LinearHypothesis,
-    NumericError,
     StatisticInput,
     WtsKernel,
     ats,
@@ -19,7 +18,6 @@ from quadform import (
     vech_upper,
     wts,
 )
-from quadform.statistics import _finish
 
 from helpers import HARNESS_TOL, equivalent_pair, random_orthogonal, random_spd
 
@@ -89,6 +87,26 @@ class TestStatisticInput:
             verdict = True
         assert verdict == accepted
 
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (1e160 * np.array([[1.0, 2.0], [2.0, 1.0]]), "semidefinite"),
+            (1e160 * np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+            (1e-170 * np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+            (1e160 * np.array([[2.0, 1.0], [1.0, 2.0]]), None),
+            (1e-160 * np.array([[2.0, 1.0], [1.0, 2.0]]), None),
+        ],
+        ids=[
+            "indefinite-1e160", "asymmetric-1e160", "asymmetric-1e-170", "psd-1e160", "psd-1e-160"
+        ],
+    )
+    def test_verdict_does_not_depend_on_the_scale(self, sigma, message):
+        if message is None:
+            StatisticInput(np.zeros(2), sigma, 1)
+        else:
+            with pytest.raises(ValueError, match=message):
+                StatisticInput(np.zeros(2), sigma, 1)
+
 
 class TestWts:
     def test_identity_hypothesis_is_zero(self):
@@ -147,6 +165,17 @@ class TestWts:
         hyp = LinearHypothesis(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="columns"):
             wts(hyp, StatisticInput([1.0, 2.0], np.eye(2), 1))
+
+    @pytest.mark.parametrize("smallest", [-1e-11, -5e-11, -1e-12])
+    def test_accepted_slightly_negative_sigma_drops_the_rounding_direction(self, smallest):
+        # StatisticInput accepts these; the negative eigenvalue is rounding, so
+        # the kernel's second direction is dropped rather than divided by.
+        sigma = np.diag([1.0, smallest])
+        hyp = LinearHypothesis(np.eye(2), np.zeros(2))
+        t = np.array([0.3, 0.5])
+        value = wts(hyp, StatisticInput(t, sigma, 10)).value
+        assert value == pytest.approx(0.9, rel=1e-15)
+        assert WtsKernel(hyp, sigma, 10).evaluate(t).value == value
 
 
 class TestMats:
@@ -256,6 +285,16 @@ class TestAtsStandardized:
             tr2 = np.trace(reduced.h @ sigma @ reduced.h.T)
             assert tr1 == pytest.approx(tr2, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [1e-170, 1e-160, 1e150, 1e160])
+    def test_scale_of_h_cancels(self, k):
+        h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        # N ||H t||^2 / trace(H Sigma H') = 34 * 5 / 25
+        inp = StatisticInput([1.0, 2.0, 3.0], np.diag([5.0, 20.0, 9.0]), 34)
+        base = ats_standardized(LinearHypothesis(h, np.zeros(2)), inp).value
+        scaled = ats_standardized(LinearHypothesis(k * h, np.zeros(2)), inp).value
+        assert base == pytest.approx(6.8, rel=1e-15)
+        assert scaled == pytest.approx(base, rel=1e-14)
+
     def test_vanishing_trace_rejected(self):
         # H hits only the zero block of the covariance
         sigma = np.diag([0.0, 1.0])
@@ -351,12 +390,3 @@ class TestSampleCovariance:
         rng = np.random.default_rng(29)
         x = rng.standard_normal((40, 3))
         np.testing.assert_allclose(sample_covariance(x), np.cov(x, rowvar=False), atol=1e-12)
-
-
-class TestNegativeClamp:
-    def test_rounding_noise_snaps_to_zero(self):
-        assert _finish("WTS", -1e-10, 1).value == 0.0
-
-    def test_true_negative_raises(self):
-        with pytest.raises(NumericError):
-            _finish("WTS", -1e-3, 1)
