@@ -54,7 +54,11 @@ class StatisticInput:
 
 @dataclass(frozen=True)
 class StatisticResult:
-    """A computed statistic: which form, its value, and the row count used."""
+    """A computed statistic: which form, its value, and ``m_effective``.
+
+    ``m_effective`` is the Wald kernel's rank, the test's degrees of freedom,
+    for WTS and MATS, and the row count of ``H`` for ATS and ATS_s.
+    """
 
     kind: str
     value: float
@@ -101,27 +105,27 @@ def _check_match(hyp: LinearHypothesis, d: int) -> None:
         )
 
 
-def _wts_factor(
+def _wald_factor(
     hyp: LinearHypothesis, sigma: np.ndarray, tol: Tolerance | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kept eigenpairs of the Wald kernel ``H Sigma H'``."""
-    return _psd_factor(hyp.h @ sigma @ hyp.h.T, tol)
+    """Kept pairs ``(lam, w)`` of ``K = H S H'``, with ``r' K^+ r = sum((w' r)^2 / lam)``.
 
-
-def _wald(
-    kind: str, hyp: LinearHypothesis, t: np.ndarray, scale: float, factor
-) -> StatisticResult:
-    """``scale * r' K^+ r`` with ``r = H t - y`` and ``factor()`` the kept eigenpairs of K.
-
-    Every Wald form goes through here.  ``factor`` is called only after the
-    length check, so a mismatch is reported before any kernel is built.  The
-    value is the sum of ``(v_i' r)^2 / lam_i`` over kept eigenpairs, each
-    ``lam_i`` positive, so it is never negative.
+    ``S`` is Sigma, or its diagonal as a vector for MATS.  Each row of ``H`` is
+    divided by a power of two ``g`` first and ``w = v / g``, so no row scale
+    moves the rank or the value; an explicit ``rank_tol`` cuts the scaled kernel.
     """
-    _check_match(hyp, t.shape[0])
-    lam, v = factor()
-    z = (hyp.h @ t - hyp.y) @ v
-    return StatisticResult(kind, scale * float((z / lam) @ z), hyp.m)
+    # No g below the smallest normal power of two: 1 / g must stay finite.
+    g = np.maximum(_pow2_scale(hyp.h, axis=1), np.finfo(np.float64).tiny)[:, None]
+    h = hyp.h / g
+    lam, v = _psd_factor((h * sigma if sigma.ndim == 1 else h @ sigma) @ h.T, tol)
+    return lam, v / g
+
+
+def _wald(kind: str, hyp: LinearHypothesis, t: np.ndarray, scale: float, factor) -> StatisticResult:
+    """``scale * r' K^+ r`` for ``r = H t - y``, a sum of terms ``(w' r)^2 / lam >= 0``."""
+    lam, w = factor
+    z = (hyp.h @ t - hyp.y) @ w
+    return StatisticResult(kind, scale * float((z / lam) @ z), lam.shape[0])
 
 
 def wts(
@@ -133,7 +137,8 @@ def wts(
     set of the hypothesis, not on the concrete matrix encoding it, so any two
     equivalent systems give the same number.
     """
-    return _wald("WTS", hyp, inp.t, inp.n, lambda: _wts_factor(hyp, inp.sigma, tol))
+    _check_match(hyp, inp.d)
+    return _wald("WTS", hyp, inp.t, inp.n, _wald_factor(hyp, inp.sigma, tol))
 
 
 def mats(
@@ -148,9 +153,8 @@ def mats(
     diag = np.diag(inp.sigma)
     if np.any(diag <= 0):
         raise ValueError("MATS requires strictly positive covariance diagonal entries")
-    return _wald(
-        "MATS", hyp, inp.t, 1.0, lambda: _psd_factor((hyp.h * diag) @ hyp.h.T, tol)
-    )
+    _check_match(hyp, inp.d)
+    return _wald("MATS", hyp, inp.t, 1.0, _wald_factor(hyp, diag, tol))
 
 
 def ats(hyp: LinearHypothesis, t, n: float) -> StatisticResult:
@@ -192,21 +196,15 @@ class WtsKernel:
     """Wald-type statistic with the kernel pseudo-inverse factored once.
 
     The pseudo-inverse of ``H Sigma H'`` depends only on the hypothesis and
-    the covariance, so for repeated evaluation against many statistic vectors
-    (bootstrap or permutation replicates) it pays to compute it a single time.
-    The kernel is factored by the same symmetric eigendecomposition and rank
-    cutoff as in :func:`wts`, and only the kept eigenpairs are stored: a rank-r
-    kernel holds r of them, not a dense m x m inverse.  Instances are
-    immutable and safe to share across threads; ``evaluate`` returns exactly
-    what :func:`wts` returns for the same inputs.
+    the covariance, so for many statistic vectors (bootstrap or permutation
+    replicates) it pays to factor it once.  The constructor keeps the r pairs
+    of :func:`_wald_factor` that :func:`wts` computes on every call, not a
+    dense m x m inverse.  Instances are immutable and safe to share across
+    threads; ``evaluate`` returns exactly what :func:`wts` returns.
     """
 
     def __init__(
-        self,
-        hypothesis: LinearHypothesis,
-        sigma,
-        n: float,
-        tol: Tolerance | None = None,
+        self, hypothesis: LinearHypothesis, sigma, n: float, tol: Tolerance | None = None
     ) -> None:
         sigma = _covariance(sigma)
         if hypothesis.d != sigma.shape[0]:
@@ -214,20 +212,20 @@ class WtsKernel:
                 f"hypothesis has {hypothesis.d} columns but Sigma is "
                 f"{sigma.shape[0]}x{sigma.shape[1]}"
             )
-        n = _sample_size(n)
-        lam, v = factor = _wts_factor(hypothesis, sigma, tol)
-        lam.flags.writeable = False
-        v.flags.writeable = False
+        self._n = _sample_size(n)
+        self._factor = _wald_factor(hypothesis, sigma, tol)
+        for a in self._factor:
+            a.flags.writeable = False
         self._hypothesis = hypothesis
-        self._n = n
-        self._factor = lambda: factor
 
     @property
     def hypothesis(self) -> LinearHypothesis:
         return self._hypothesis
 
     def evaluate(self, t) -> StatisticResult:
-        return _wald("WTS", self._hypothesis, as_vector(t), self._n, self._factor)
+        t = as_vector(t)
+        _check_match(self._hypothesis, t.shape[0])
+        return _wald("WTS", self._hypothesis, t, self._n, self._factor)
 
 
 def vech_upper(v) -> np.ndarray:
@@ -257,10 +255,10 @@ def diag_selector(p: int) -> np.ndarray:
 
 
 def sample_covariance(x) -> np.ndarray:
-    """Unbiased sample covariance (divisor n - 1) of observation rows."""
+    """Unbiased sample covariance (divisor n - 1) of observation rows, exactly symmetric."""
     x = as_matrix(x)
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 observations, got {x.shape[0]}")
     centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (x.shape[0] - 1)
-    return (cov + cov.T) / 2.0
+    # numpy forms c' c of one buffer by a symmetric rank-k update: no rounding asymmetry.
+    return centered.T @ centered / (x.shape[0] - 1)

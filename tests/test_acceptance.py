@@ -18,10 +18,12 @@ from quadform import (
     LinearHypothesis,
     ats,
     ats_standardized,
+    canonical_form,
     diag_selector,
     equivalent,
     mats,
     projection,
+    rank,
     reduce_for_ats,
     run_benchmark,
     vech_upper,
@@ -76,6 +78,17 @@ def test_criterion_1_wts_invariance(randomized_pairs):
         elapsed = time.perf_counter() - start
         assert worst <= 1e-8, f"max relative WTS discrepancy {worst:.3e}"
         assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
+
+
+def test_criterion_1_degrees_of_freedom(randomized_pairs):
+    with criterion(1, "WTS and MATS degrees of freedom equal rank(H) on the same pairs"):
+        for h1, h2, inp in randomized_pairs:
+            for hyp in (h1, h2):
+                expected = rank(hyp.h, HARNESS_TOL)
+                assert canonical_form(hyp, HARNESS_TOL).m == expected
+                for tol in (HARNESS_TOL, None):
+                    assert wts(hyp, inp, tol).m_effective == expected
+                    assert mats(hyp, inp, tol).m_effective == expected
 
 
 def test_criterion_2_projection_uniqueness(randomized_pairs):

@@ -129,6 +129,29 @@ def test_kernel_evaluate_equals_wts_exactly(seed, d, zero_rows, duplicates, tol)
 @PROPERTY
 @given(
     seed=seeds,
+    d=st.integers(1, 6),
+    ks=st.lists(st.integers(-60, 60), min_size=1, max_size=6),
+    tol=tolerances,
+)
+def test_wald_forms_unchanged_by_power_of_two_row_scaling(seed, d, ks, tol):
+    # Each row and its right-hand side scaled by 2^k, which rounds nothing:
+    # the rows the kernel is formed from, and so every value, stay bit for bit.
+    rng = np.random.default_rng(seed)
+    h = shaped_matrix(rng, len(ks), d, int(rng.integers(1, min(len(ks), d) + 1)))
+    y = h @ rng.standard_normal(d) + 0.1 * rng.standard_normal(len(ks))
+    hyp = LinearHypothesis(h, y)
+    scaled = LinearHypothesis(np.ldexp(h, np.array(ks)[:, None]), np.ldexp(y, ks))
+    sigma = random_spd(rng, d)
+    inp = StatisticInput(rng.standard_normal(d), sigma, float(rng.integers(1, 50)))
+    for statistic in (wts, mats):
+        assert statistic(scaled, inp, tol) == statistic(hyp, inp, tol)
+    kernel = WtsKernel(scaled, sigma, inp.n, tol)
+    assert kernel.evaluate(inp.t) == WtsKernel(hyp, sigma, inp.n, tol).evaluate(inp.t)
+
+
+@PROPERTY
+@given(
+    seed=seeds,
     d=st.integers(2, 6),
     extra_rows=st.integers(0, 2),
     log10_rel=st.floats(-13.0, -10.5),

@@ -18,6 +18,7 @@ from quadform import (
     vech_upper,
     wts,
 )
+from quadform.bench import build_setting_a
 
 from helpers import HARNESS_TOL, equivalent_pair, random_orthogonal, random_spd
 
@@ -217,6 +218,44 @@ class TestMats:
             mats(LinearHypothesis(np.eye(2), np.zeros(2)), inp)
 
 
+class TestWaldRowScale:
+    """Wald kernels are formed from rows divided by powers of two."""
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-9, 1e-12])
+    def test_a_small_row_keeps_its_degree_of_freedom(self, eps):
+        # H Sigma H' has eigenvalues near 1 and eps**2; unscaled, the second
+        # fell under the rank cutoff from eps = 1e-8 on (WTS 3.6, MATS 0.072).
+        inp = StatisticInput([0.3, 0.5, -0.2], np.eye(3) + np.ones((3, 3)) / 4.0, 50)
+        hyp = LinearHypothesis([[1.0, 0.0, 0.0], [0.0, eps, 0.0]], np.zeros(2))
+        for statistic, unit_value in ((wts, 35.0 / 3.0), (mats, 0.272)):
+            result = statistic(hyp, inp)
+            assert result.value == pytest.approx(unit_value, rel=1e-12)
+            assert result.m_effective == 2
+
+    @pytest.mark.parametrize("k", [1e-170, 1e-310, 1e160])
+    def test_extreme_scale_of_the_whole_h(self, k):
+        # Unscaled, H Sigma H' underflowed to zero (value 0.0) or overflowed.
+        # 1e-310 is subnormal; a row scale below 2**-1022 would make 1 / g overflow.
+        hyp = LinearHypothesis(k * np.eye(2), np.zeros(2))
+        inp = StatisticInput([1.0, 2.0], np.eye(2), 1)
+        values = [
+            wts(hyp, inp).value,
+            mats(hyp, inp).value,
+            WtsKernel(hyp, np.eye(2), 1).evaluate([1.0, 2.0]).value,
+        ]
+        assert values == pytest.approx([5.0] * 3, rel=1e-14)
+
+    def test_degrees_of_freedom_of_setting_a(self):
+        full, minimal = build_setting_a(200)
+        sigma = np.eye(400) + np.ones((400, 400))
+        inp = StatisticInput(np.random.default_rng(37).standard_normal(400), sigma, 800)
+        for hyp in (full, minimal):
+            assert wts(hyp, inp).m_effective == 1
+            assert mats(hyp, inp).m_effective == 1
+        assert ats(full, inp.t, inp.n).m_effective == 400
+        assert ats_standardized(full, inp).m_effective == 400
+
+
 class TestAts:
     def test_identity_hypothesis_is_zero(self):
         t = np.array([2.0, -1.0])
@@ -390,3 +429,10 @@ class TestSampleCovariance:
         rng = np.random.default_rng(29)
         x = rng.standard_normal((40, 3))
         np.testing.assert_allclose(sample_covariance(x), np.cov(x, rowvar=False), atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_exactly_symmetric(self, layout):
+        x = np.random.default_rng(41).standard_normal((90, 37)) * np.logspace(-3, 3, 37)
+        x = {"C": x, "F": np.asfortranarray(x), "strided": x[::2, ::3]}[layout]
+        s = sample_covariance(x)
+        assert np.array_equal(s, s.T)
