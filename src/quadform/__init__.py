@@ -33,7 +33,6 @@ from .hypothesis import (
 from .linalg import (
     NumericError,
     Tolerance,
-    pinv,
     projection,
     rank,
     rref,
@@ -76,7 +75,6 @@ __all__ = [
     "equivalent",
     "is_consistent",
     "mats",
-    "pinv",
     "projection",
     "projection_form",
     "rank",

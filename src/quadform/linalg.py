@@ -1,20 +1,15 @@
-"""Dense real-matrix primitives: pseudo-inverse, rank, RREF, projectors.
+"""Dense real-matrix primitives: rank, RREF, projectors.
 
 All operations are pure functions over numpy arrays.  Inputs are validated
 eagerly: matrices must be 2-d, nonempty and finite, so numerical routines
-never see NaN or Inf.  Rank decisions are governed by a :class:`Tolerance`;
-the default singular-value cutoff is ``max(rows, cols) * eps * s_max``, which
-makes them invariant under rescaling of the input.
+never see NaN or Inf.
 
-The public :func:`pinv` and :func:`projection` read the row space of their
-input from one truncated thin SVD, cut where :func:`rank` cuts, so the trace
-of a projector is the rank of its matrix.  Every internal pseudo-inverse is of
-a Wald-type kernel ``H Sigma H'`` built from a covariance already checked to be
-positive semidefinite, and uses one symmetric eigendecomposition instead: the
-singular values of a symmetric matrix are the magnitudes of its eigenvalues,
-so the same cutoff applies to them at a fraction of the cost.  Only positive
-eigenvalues above it are kept; negative ones are rounding.  No Gram matrix
-``H H'`` is formed, since it would square the condition number.
+Rank has one rule: the pivot count of :func:`rref`, which snaps an entry to
+zero when it is negligible against its own row, so no row scale moves it.
+:func:`projection` and ``projection_form`` read their projector from one thin
+SVD of the echelon rows, so its trace is that count; no Gram matrix ``H H'``
+is formed.  Only the Wald-type kernels ``H Sigma H'``, built from a covariance
+checked to be PSD, cut a spectrum, in one symmetric eigendecomposition.
 """
 
 from __future__ import annotations
@@ -39,15 +34,14 @@ class NumericError(RuntimeError):
 class Tolerance:
     """Numerical thresholds shared by the rank-sensitive operations.
 
-    ``rank_tol`` is an absolute singular-value cutoff for :func:`pinv`,
-    :func:`rank`, :func:`projection` and the Wald-type kernels; ``None``
-    derives the standard scale-invariant cutoff from the matrix itself.
-    Inside :func:`rref`, and so in every hypothesis-level decision
-    (consistency, equivalence, canonical form and ``projection_form``), it
-    is a relative multiplier against each row's running magnitude.  It plays
-    no part in the zero rows of ``dependence_classes`` and
-    ``reduce_for_ats``, which are exactly-zero rows.  ``eq_tol`` is the
-    relative tolerance for entrywise matrix comparisons.
+    ``rank_tol`` is the relative zero-snap multiplier of :func:`rref`, and so
+    of every rank decision: :func:`rank`, :func:`projection`, consistency,
+    equivalence, ``canonical_form`` and ``projection_form``.  Only the Wald
+    kernels read it as an absolute cutoff on the eigenvalues of the row-scaled
+    kernel.  ``None`` derives a scale-invariant default in both places.  It
+    plays no part in the exactly-zero rows of ``dependence_classes`` and
+    ``reduce_for_ats``.  ``eq_tol`` is the relative tolerance for entrywise
+    matrix comparisons.
     """
 
     rank_tol: float | None = None
@@ -95,48 +89,22 @@ def _pow2_scale(a: np.ndarray, axis: int | None = None):
     return np.ldexp(1.0, np.frexp(np.max(np.abs(a), axis=axis))[1] - 1)
 
 
-def _svd(a: np.ndarray, compute_uv: bool = True):
+def _svd(a: np.ndarray):
     """Thin SVD of a validated matrix; singular values come sorted descending."""
     try:
-        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
-
-
-def _rank_cutoff(s: np.ndarray, shape: tuple[int, int], tol: Tolerance | None) -> float:
-    rank_tol = (tol or DEFAULT_TOLERANCE).rank_tol
-    if rank_tol is not None:
-        return rank_tol
-    return max(shape) * _EPS * float(s.max(initial=0.0))
-
-
-def _row_space(a: np.ndarray, tol: Tolerance | None):
-    """Thin SVD ``(u, s, vt)`` of ``a`` cut to its :func:`rank` largest singular triples."""
-    u, s, vt = _svd(a)
-    k = int(np.count_nonzero(s > _rank_cutoff(s, a.shape, tol)))
-    return u[:, :k], s[:k], vt[:k]
-
-
-def pinv(a, tol: Tolerance | None = None) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values at or below the rank cutoff are treated as exactly zero,
-    so rank-deficient kernels invert cleanly on their range.  The result
-    satisfies the four Penrose conditions up to rounding.
-    """
-    u, s, vt = _row_space(as_matrix(a), tol)
-    return (vt.T / s) @ u.T
 
 
 def _psd_factor(a: np.ndarray, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse of a symmetric PSD matrix as its kept eigenpairs ``(lam, v)``.
 
     ``a^+ == v @ diag(1 / lam) @ v.T``.  Only the lower triangle of ``a`` is
-    read.  An eigenpair is kept when ``lam`` exceeds the cutoff :func:`pinv`
-    applies to the singular values, which for a symmetric matrix are the
-    ``|lam|``.  So every kept ``lam`` is positive: a negative eigenvalue of a
-    kernel built from an accepted covariance is rounding, dropped like any
-    other eigenvalue under the cutoff.
+    read.  An eigenpair is kept when ``lam`` exceeds ``rank_tol``, by default
+    ``n * eps`` times the largest ``|lam|``, so every kept ``lam`` is positive:
+    a negative eigenvalue of a kernel built from an accepted covariance is
+    rounding, dropped like any other eigenvalue under the cutoff.
     """
     if a.shape == (1, 1):
         # What eigh returns for 1 x 1 input, without its LAPACK call overhead;
@@ -147,15 +115,16 @@ def _psd_factor(a: np.ndarray, tol: Tolerance | None = None) -> tuple[np.ndarray
             lam, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"symmetric eigendecomposition did not converge: {exc}") from exc
-    keep = lam > _rank_cutoff(np.abs(lam), a.shape, tol)
+    cutoff = (tol or DEFAULT_TOLERANCE).rank_tol
+    if cutoff is None:
+        cutoff = a.shape[0] * _EPS * float(np.abs(lam).max(initial=0.0))
+    keep = lam > cutoff
     return lam[keep], v[:, keep]
 
 
 def rank(a, tol: Tolerance | None = None) -> int:
-    """Numerical rank: the number of singular values above the cutoff."""
-    a = as_matrix(a)
-    s = _svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > _rank_cutoff(s, a.shape, tol)))
+    """Numerical rank: the pivot count of ``rref([a | 0])``, as for ``a theta = 0``."""
+    return len(_homogeneous_rows(a, tol))
 
 
 def rref(a, tol: Tolerance | None = None) -> tuple[np.ndarray, list[int]]:
@@ -168,7 +137,10 @@ def rref(a, tol: Tolerance | None = None) -> tuple[np.ndarray, list[int]]:
     snapped to exact zero; the relative multiplier is ``rank_tol`` when set,
     otherwise ``64 * max(rows, cols) * eps``.  Judging residue against the
     running row magnitude (not the current one) lets fully cancelled rows
-    collapse to exact zero rows.
+    collapse to exact zero rows.  A pivot must also beat that threshold times
+    the largest entry (at least 1) of its column in the pivot rows above: a
+    smaller one is residue of their span, whose elimination would snap their
+    pivots away.  Rows left without a pivot are returned as exact zeros.
     """
     a = as_matrix(a)
     tol = tol or DEFAULT_TOLERANCE
@@ -182,7 +154,8 @@ def rref(a, tol: Tolerance | None = None) -> tuple[np.ndarray, list[int]]:
         if row == m:
             break
         p = row + int(np.argmax(np.abs(r[row:, col])))
-        if abs(r[p, col]) <= rel * scale[p]:
+        c, cutoff = abs(r[p, col]), rel * scale[p]
+        if c <= cutoff or c <= cutoff * np.abs(r[:row, col]).max(initial=1.0):
             continue
         if p != row:
             r[[row, p]] = r[[p, row]]
@@ -200,16 +173,33 @@ def rref(a, tol: Tolerance | None = None) -> tuple[np.ndarray, list[int]]:
         r[np.abs(r) <= rel * scale[:, None]] = 0.0
         pivots.append(col)
         row += 1
+    r[row:] = 0.0
     return r, pivots
+
+
+def _homogeneous_rows(h, tol: Tolerance | None) -> np.ndarray:
+    """Nonzero rows of ``rref([h | 0], tol)``, the echelon rows of ``h theta = 0``."""
+    h = as_matrix(h)
+    r, pivots = rref(np.column_stack([h, np.zeros(h.shape[0])]), tol)
+    return r[: len(pivots)]
+
+
+def _echelon_projector(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projector ``rows^+ rows`` onto the span of echelon ``rows``, and ``rows^+ rhs``.
+
+    Their identity in the pivot columns keeps every singular value at least 1.
+    """
+    u, s, vt = _svd(rows)
+    return vt.T @ vt, vt.T @ ((u.T @ rhs) / s)
 
 
 def projection(h, tol: Tolerance | None = None) -> np.ndarray:
     """Orthogonal projector onto the row space of ``h``: ``hT (h hT)^+ h``.
 
-    It is ``w.T @ w`` for the orthonormal row-space basis ``w`` of the SVD
-    cut where :func:`rank` cuts, so its trace is ``rank(h, tol)``.  Any matrix
-    with the same row space gives the same projector, symmetric and
-    idempotent up to rounding, whatever the scale of ``h``.
+    It is the ``p`` of ``projection_form`` for ``h theta = 0``, read from the
+    same echelon rows, so its trace is ``rank(h, tol)``.  Any matrix with the
+    same row space gives the same projector, symmetric and idempotent up to
+    rounding, whatever the scale of ``h`` or of its rows.
     """
-    w = _row_space(as_matrix(h), tol)[2]
-    return w.T @ w
+    rows = _homogeneous_rows(h, tol)
+    return _echelon_projector(rows[:, :-1], rows[:, -1])[0]

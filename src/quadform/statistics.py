@@ -178,12 +178,13 @@ def ats_standardized(hyp: LinearHypothesis, inp: StatisticInput) -> StatisticRes
     Both are quadratic in ``(H, y)``, so the ratio is computed on ``H`` and
     ``y`` divided by a power of two near the largest entry of ``H``.  That
     rounds nothing, and keeps the sums of squares in range at any scale of H.
+    The vanishing test measures Sigma by its trace, which squares no entry.
     """
     _check_match(hyp, inp.d)
     g = _pow2_scale(hyp.h)
     h, y = hyp.h / g, hyp.y / g
     denom = float(np.sum((h @ inp.sigma) * h))
-    floor = _EPS * float(np.linalg.norm(h) ** 2) * float(np.linalg.norm(inp.sigma))
+    floor = _EPS * float(np.linalg.norm(h) ** 2) * float(np.trace(inp.sigma))
     if denom <= floor:
         raise ValueError(
             "trace(H Sigma H') vanishes; the hypothesis annihilates the covariance"

@@ -39,6 +39,13 @@ def shaped_matrix(rng, m, d, r):
     return (u * rng.uniform(0.5, 2.0, size=r)) @ v.T
 
 
+def nearly_parallel_columns(rng, m, d, r, gap):
+    """Random m x d matrix of rank r whose column 1 is 3 * column 0 plus ``gap`` noise."""
+    v = rng.standard_normal((d, r))
+    v[1] = 3.0 * v[0] + gap * rng.standard_normal(r)
+    return rng.standard_normal((m, r)) @ v.T
+
+
 def random_spd(rng, d, lo=0.5, hi=2.0):
     """Random symmetric positive definite matrix with eigenvalues in [lo, hi]."""
     q = random_orthogonal(rng, d)

@@ -196,10 +196,15 @@ class TestCsvErrors:
     def test_scientific_notation_roundtrip(self, tmp_path):
         rng = np.random.default_rng(37)
         values = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-12, 13, size=(3, 4))
+        big, tiny = np.finfo(np.float64).max, 5e-324  # largest and smallest positive float
+        extremes = [[-0.0, tiny, big, 2.0**1000], [2.0**-1000, -tiny, -big, -(2.0**-1000)]]
+        values = np.vstack([values, extremes])
         path = tmp_path / "sci.csv"
         write_matrix_csv(values, path)
         assert "e" in path.read_text() or "E" in path.read_text()
-        np.testing.assert_array_equal(read_matrix_csv(path), values)
+        back = read_matrix_csv(path)
+        np.testing.assert_array_equal(back, values)
+        np.testing.assert_array_equal(np.signbit(back), np.signbit(values))
 
     @pytest.mark.parametrize(
         "content",

@@ -24,6 +24,7 @@ from helpers import (
     equivalent_pair,
     hypothesis_with_redundancy,
     near_tolerance_system,
+    nearly_parallel_columns,
     oracle_verdict,
     random_consistent_hypothesis,
 )
@@ -197,6 +198,20 @@ class TestCanonicalForm:
             assert c1.h.shape == c2.h.shape
             np.testing.assert_allclose(c1.h, c2.h, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(c1.y, c2.y, rtol=1e-9, atol=1e-9)
+
+    def test_nearly_parallel_columns(self):
+        # Rank 2 with columns 0 and 1 a relative 1e-3 apart: the canonical form
+        # keeps two rows, and the system is equivalent to its first two rows.
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            h = nearly_parallel_columns(rng, 8, 5, 2, 1e-3)
+            hyp = LinearHypothesis(h, h @ rng.standard_normal(5))
+            assert canonical_form(hyp).m == 2
+            head = LinearHypothesis(hyp.h[:2], hyp.y[:2])
+            assert equivalent(hyp, head) is EquivalenceVerdict.EQUIVALENT
+            form = projection_form(hyp)
+            assert form.equivalent
+            assert round(np.trace(form.p)) == 2
 
 
 class TestProjectionForm:

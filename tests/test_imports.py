@@ -1,9 +1,11 @@
-"""Every imported name is used, and every private module-level name is read.
+"""Every imported name is used, every private module-level name is read, and
+every name the benchmark imports from the package exists.
 
 These are the checks a linter would make, done with ``ast`` only.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,38 @@ def test_every_imported_name_is_used(path):
 def test_every_private_name_in_the_package_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def package_imports(source: str) -> list[tuple[str, str]]:
+    """``(module, name)`` for each ``from quadform... import name`` anywhere in ``source``."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module == "quadform" or node.module.startswith("quadform."))
+        for alias in node.names
+    ]
+
+
+def resolves(module: str, name: str) -> bool:
+    """True when ``from module import name`` would succeed: an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_every_package_name_the_benchmark_imports_exists():
+    # The benchmark imports inside its workload classes, so a deleted name
+    # would otherwise surface only when the benchmark runs.
+    imports = [
+        (path.name, module, name)
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for module, name in package_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert imports
+    assert [imp for imp in imports if not resolves(*imp[1:])] == []

@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
-from quadform import NumericError, Tolerance, pinv, projection, rank, rref
+from quadform import (
+    LinearHypothesis,
+    NumericError,
+    Tolerance,
+    canonical_form,
+    projection,
+    projection_form,
+    rank,
+    rref,
+)
 from quadform.linalg import _svd as svd
 from quadform.linalg import as_matrix, as_vector
 
-from helpers import HARNESS_TOL, shaped_matrix, well_conditioned
+from helpers import HARNESS_TOL, nearly_parallel_columns, shaped_matrix, well_conditioned
 
 # Three encodings of the 3-group mean-equality hypothesis; rows of the first
 # satisfy row3 = row1 + row2, the second is the centering projector itself.
@@ -66,41 +75,6 @@ class TestSvd:
             assert np.linalg.norm(u.T @ u - np.eye(k)) <= 1e-10
             assert np.linalg.norm(vt @ vt.T - np.eye(k)) <= 1e-10
             assert np.all(np.diff(s) <= 0)
-
-
-class TestPinv:
-    def test_identity(self):
-        np.testing.assert_allclose(pinv(np.eye(4)), np.eye(4), atol=1e-12)
-
-    def test_zero_matrix_transposed_shape(self):
-        out = pinv(np.zeros((2, 3)))
-        assert out.shape == (3, 2)
-        np.testing.assert_allclose(out, 0.0)
-
-    def test_rank_one_diagonal(self):
-        np.testing.assert_allclose(
-            pinv([[2.0, 0.0], [0.0, 0.0]]), [[0.5, 0.0], [0.0, 0.0]], atol=1e-14
-        )
-
-    @pytest.mark.parametrize("shape", [(2, 2), (5, 3), (8, 13), (20, 50), (50, 50)])
-    def test_penrose_conditions(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        a = rng.standard_normal(shape)
-        # include a rank-deficient case built from thin factors
-        if shape == (50, 50):
-            a = rng.standard_normal((50, 10)) @ rng.standard_normal((10, 50))
-        ap = pinv(a)
-        budget = 1e-9 * (1.0 + np.linalg.norm(a))
-        assert np.linalg.norm(a @ ap @ a - a) <= budget
-        assert np.linalg.norm(ap @ a @ ap - ap) <= budget
-        assert np.linalg.norm((a @ ap).T - a @ ap) <= budget
-        assert np.linalg.norm((ap @ a).T - ap @ a) <= budget
-
-    def test_explicit_cutoff_drops_small_singular_values(self):
-        a = np.diag([1.0, 1e-12])
-        np.testing.assert_allclose(
-            pinv(a, Tolerance(rank_tol=1e-6)), np.diag([1.0, 0.0]), atol=1e-14
-        )
 
 
 class TestRank:
@@ -174,6 +148,21 @@ class TestRref:
                 assert np.all(column == 0.0)
             assert np.all(r[len(pivots):] == 0.0)
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+    def test_nearly_parallel_columns_add_no_pivot(self, gap):
+        # The small pivot of column 1 scales the rows above by about 1 / gap;
+        # the rounding residue that leaves in later columns is not a pivot,
+        # and a pivot accepted from it would snap theirs to zero.
+        rng = np.random.default_rng(53)
+        for r in (2, 3):
+            for _ in range(20):
+                h = nearly_parallel_columns(rng, 8, 6, r, gap)
+                out, pivots = rref(h)
+                assert len(pivots) == rank(h) == r
+                assert np.all(out[np.arange(r), pivots] == 1.0)
+                assert not out[r:].any()
+                assert round(np.trace(projection(h))) == r
+
 
 class TestProjection:
     def test_paper_given_centering(self):
@@ -189,16 +178,14 @@ class TestProjection:
         # H H' underflows or overflows at these scales; the projector must not.
         np.testing.assert_allclose(projection(scale * H_ALL_PAIRS), CENTERING_3, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "cutoff, expected", [(1e-6, [1.0, 1.0]), (1e-5, [1.0, 0.0])], ids=["keeps", "drops"]
-    )
-    def test_absolute_cutoff_applies_to_the_singular_values(self, cutoff, expected):
-        # h has singular values 3 and 3e-6, straddled by the two cutoffs.
-        h = np.diag([3.0, 3e-6])
-        tol = Tolerance(rank_tol=cutoff)
-        p = projection(h, tol)
-        np.testing.assert_allclose(p, np.diag(expected), atol=1e-12)
-        assert round(np.trace(p)) == rank(h, tol)
+    @pytest.mark.parametrize("snap, expected", [(1e-7, 2), (1e-5, 1)], ids=["keeps", "drops"])
+    def test_rank_tol_is_a_relative_snap(self, snap, expected):
+        # Eliminating row 0 leaves 1e-6 in row 1, whose magnitude is about 1:
+        # a snap multiplier below 1e-6 keeps it, one above drops it.
+        h = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]])
+        tol = Tolerance(rank_tol=snap)
+        assert rank(h, tol) == expected
+        assert round(np.trace(projection(h, tol))) == expected
 
     def test_sphericity_projector(self):
         # equal-variance, zero-covariance constraint in vech coordinates
@@ -228,6 +215,20 @@ class TestProjection:
             p1 = projection(h, HARNESS_TOL)
             p2 = projection(g @ h, HARNESS_TOL)
             assert np.linalg.norm(p1 - p2) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "h",
+    [[[1.0, 0.0], [0.0, 1e-20]], [[1.0, 0.0, 0.0], [0.0, 2.0**-70, 0.0]]],
+    ids=["1e-20", "2^-70"],
+)
+def test_rank_and_projection_keep_a_tiny_row_as_canonical_form_does(h):
+    # A singular-value cutoff global to the matrix, as numpy's, drops the
+    # second row; the echelon snap judges it against its own magnitude.
+    h = np.array(h)
+    hyp = LinearHypothesis(h, np.zeros(2))
+    assert rank(h) == 2 == canonical_form(hyp).m
+    np.testing.assert_array_equal(projection(h), projection_form(hyp).p)
 
 
 def test_svd_failure_is_numeric_error():

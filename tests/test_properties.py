@@ -1,5 +1,5 @@
-"""Property-based checks of the PSD factorization, the Wald-type forms,
-the consistency decision and the projectors.
+"""Property-based checks of the PSD factorization, the statistics, the
+consistency decision, row reduction and the projectors.
 
 Examples are derandomized, so every run draws the same ones.  Floats inside a
 matrix come from a numpy generator seeded by the drawn ``seed``; the drawn
@@ -17,16 +17,17 @@ from quadform import (
     StatisticInput,
     Tolerance,
     WtsKernel,
+    ats_standardized,
     canonical_form,
     is_consistent,
     mats,
-    pinv,
     projection,
     projection_form,
     rank,
+    rref,
     wts,
 )
-from quadform.linalg import _psd_factor, _rank_cutoff
+from quadform.linalg import _psd_factor
 
 from helpers import (
     near_tolerance_system,
@@ -63,7 +64,7 @@ def test_psd_factor_matches_svd_pinv_of_the_psd_part(spectrum, seed, tol):
     psd = (q * np.maximum(spectrum, 0.0)) @ q.T
     psd = (psd + psd.T) / 2.0
     s = np.linalg.svd(a, compute_uv=False)
-    cutoff = _rank_cutoff(s, a.shape, tol or Tolerance())
+    cutoff = tol.rank_tol if tol else n * np.finfo(np.float64).eps * s[0]
     # A singular value within 4x of the cutoff is a near tie, which the two
     # factorizations may settle differently by rounding alone.
     assume(not np.any((s > cutoff / 4.0) & (s < 4.0 * cutoff)))
@@ -71,9 +72,10 @@ def test_psd_factor_matches_svd_pinv_of_the_psd_part(spectrum, seed, tol):
     lam, v = _psd_factor(a, tol)
     assert np.all(lam > 0.0)
     # The cutoff comes from all of a's spectrum, negative eigenvalues included.
-    psd_tol = Tolerance(rank_tol=cutoff)
-    assert lam.size == rank(psd, psd_tol)
-    ref = pinv(psd, psd_tol)
+    assert lam.size == np.linalg.matrix_rank(psd, tol=cutoff)
+    u, s_psd, vt = np.linalg.svd(psd)
+    keep = s_psd > cutoff
+    ref = (vt[keep].T / s_psd[keep]) @ u[:, keep].T
     np.testing.assert_allclose((v / lam) @ v.T, ref, atol=1e-10 * (1.0 + np.linalg.norm(ref)))
 
 
@@ -182,6 +184,24 @@ def test_wald_forms_are_nonnegative_for_accepted_slightly_indefinite_sigma(
     assert all(np.isfinite(v) and v >= 0.0 for v in values)
 
 
+@PROPERTY
+@given(seed=seeds, d=st.integers(1, 6), m=st.integers(1, 6), j=st.integers(-300, 300))
+def test_statistics_unchanged_when_t_y_and_sigma_scale_together(seed, d, m, j):
+    # T and y scaled by 2^j and Sigma by 2^(2j): every form is a ratio in
+    # which the scales cancel, however far they are from 1.
+    rng = np.random.default_rng(seed)
+    h = shaped_matrix(rng, m, d, int(rng.integers(1, min(m, d) + 1)))
+    y = h @ rng.standard_normal(d) + 0.1 * rng.standard_normal(m)
+    t, sigma, n = rng.standard_normal(d), random_spd(rng, d), float(rng.integers(1, 50))
+    hyp, inp = LinearHypothesis(h, y), StatisticInput(t, sigma, n)
+    scaled_hyp = LinearHypothesis(h, np.ldexp(y, j))
+    scaled_inp = StatisticInput(np.ldexp(t, j), np.ldexp(sigma, 2 * j), n)
+    for statistic in (wts, mats, ats_standardized):
+        expected, got = statistic(hyp, inp), statistic(scaled_hyp, scaled_inp)
+        assert got.m_effective == expected.m_effective
+        assert got.value == pytest.approx(expected.value, rel=1e-12)
+
+
 def _canonical_or_none(hyp):
     try:
         return canonical_form(hyp)
@@ -211,6 +231,22 @@ def test_consistency_verdicts_unchanged_by_power_of_two_scaling(seed, log10_offs
 
 
 @PROPERTY
+@given(seed=seeds, d=st.integers(1, 6), ks=st.lists(st.integers(-60, 60), min_size=1, max_size=6))
+def test_rref_and_canonical_form_are_idempotent_bit_for_bit(seed, d, ks):
+    rng = np.random.default_rng(seed)
+    h = shaped_matrix(rng, len(ks), d, int(rng.integers(1, min(len(ks), d) + 1)))
+    h = np.ldexp(h, np.array(ks)[:, None])
+    r, pivots = rref(h)
+    r2, pivots2 = rref(r)
+    assert pivots2 == pivots
+    assert r2.tobytes() == r.tobytes()
+    canon = canonical_form(LinearHypothesis(h, h @ rng.standard_normal(d)))
+    again = canonical_form(canon)
+    assert again.h.tobytes() == canon.h.tobytes()
+    assert again.y.tobytes() == canon.y.tobytes()
+
+
+@PROPERTY
 @given(
     seed=seeds,
     d=st.integers(2, 6),
@@ -226,7 +262,10 @@ def test_projectors_follow_the_rank_decisions_under_row_scaling(seed, d, ks, log
         ks = [*ks, ks[0]]
     h = np.ldexp(h, np.array(ks)[:, None])
     hyp = LinearHypothesis(h, h @ rng.standard_normal(d))
-    assert round(np.trace(projection(h))) == rank(h)
+    homogeneous = LinearHypothesis(h, np.zeros(h.shape[0]))
+    p = projection(h)
+    assert round(np.trace(p)) == rank(h) == canonical_form(homogeneous).m
+    np.testing.assert_array_equal(p, projection_form(homogeneous).p)
     canon = _canonical_or_none(hyp)
     if canon is None:
         with pytest.raises(InconsistentHypothesisError):
