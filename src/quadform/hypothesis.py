@@ -19,8 +19,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
-    _echelon_projector,
     _pow2_scale,
+    _svd,
     as_matrix,
     as_vector,
     rref,
@@ -212,9 +212,11 @@ def projection_form(hyp: LinearHypothesis, tol: Tolerance | None = None) -> Proj
     rows, _, consistent = reduced = _reduced_augmented(hyp, tol)
     if not consistent:
         raise InconsistentHypothesisError("no projection form: hypothesis has no solution")
-    p, y_out = _echelon_projector(rows[:, :-1], rows[:, -1])
+    u, s, vt = _svd(rows[:, :-1])
+    p = vt.T @ vt
     if not hyp.y.any():
         return ProjectionForm(p, True, np.zeros(hyp.d))
+    y_out = vt.T @ ((u.T @ rows[:, -1]) / s)
     verdict = _compare_reduced(reduced, _reduced_augmented(LinearHypothesis(p, y_out), tol), tol)
     return ProjectionForm(p, verdict is EquivalenceVerdict.EQUIVALENT, y_out)
 

@@ -130,47 +130,54 @@ def rank(a, tol: Tolerance | None = None) -> int:
 def rref(a, tol: Tolerance | None = None) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form by Gauss-Jordan elimination with partial pivoting.
 
-    Returns ``(r, pivots)`` where ``pivots`` lists the pivot column indices in
-    ascending order.  Pivot entries are exactly 1 with exact zeros above and
-    below them, and zero rows sort last.  During elimination, entries that are
-    negligible relative to the largest magnitude their row has carried are
-    snapped to exact zero; the relative multiplier is ``rank_tol`` when set,
-    otherwise ``64 * max(rows, cols) * eps``.  Judging residue against the
-    running row magnitude (not the current one) lets fully cancelled rows
-    collapse to exact zero rows.  A pivot must also beat that threshold times
-    the largest entry (at least 1) of its column in the pivot rows above: a
-    smaller one is residue of their span, whose elimination would snap their
-    pivots away.  Rows left without a pivot are returned as exact zeros.
+    Returns ``(r, pivots)`` with the pivot columns ascending; each pivot is
+    exactly 1 with exact zeros above and below it, and zero rows sort last.
+    Every entry carries a bound on the magnitudes it was computed from.  With
+    the multiplier ``rank_tol``, or ``64 * max(rows, cols) * eps`` by default,
+    an entry is snapped to zero when negligible against the largest bound in
+    its row while the row has no pivot, and against its own bound once it has:
+    no row scale moves the rank, fully cancelled rows collapse to zero rows,
+    and back substitution snaps no pivot.  A pivot must also beat the
+    multiplier times the largest bound of a multiplier applied to its row,
+    times the largest entry of its column in the pivot rows above; a smaller
+    one is rounding those rows spread.  A large entry elsewhere in the row,
+    such as a large right-hand side, does not raise that bound.
     """
     a = as_matrix(a)
     tol = tol or DEFAULT_TOLERANCE
     r = a.copy()
     m, n = r.shape
     rel = tol.rank_tol if tol.rank_tol is not None else _SNAP_SAFETY * max(m, n) * _EPS
-    scale = np.max(np.abs(r), axis=1)
+    # Magnitudes each entry was computed from; per row, the largest of its multipliers'.
+    bound = np.abs(r)
+    carried = np.zeros(m)
     pivots: list[int] = []
     row = 0
     for col in range(n):
         if row == m:
             break
         p = row + int(np.argmax(np.abs(r[row:, col])))
-        c, cutoff = abs(r[p, col]), rel * scale[p]
-        if c <= cutoff or c <= cutoff * np.abs(r[:row, col]).max(initial=1.0):
+        c = abs(r[p, col])
+        if c <= rel * bound[p].max() or c <= rel * carried[p] * np.abs(r[:row, col]).max(initial=0.0):
             continue
-        if p != row:
-            r[[row, p]] = r[[p, row]]
-            scale[[row, p]] = scale[[p, row]]
+        for x in (r, bound, carried):
+            x[[row, p]] = x[[p, row]]
         pv = r[row, col]
         r[row] /= pv
-        scale[row] /= abs(pv)
+        bound[row] /= abs(pv)
         f = r[:, col].copy()
         f[row] = 0.0
         r -= np.outer(f, r[row])
         r[:, col] = 0.0
         r[row, col] = 1.0
-        np.maximum(scale, np.abs(f) * scale[row], out=scale)
-        np.maximum(scale, np.max(np.abs(r), axis=1), out=scale)
-        r[np.abs(r) <= rel * scale[:, None]] = 0.0
+        mag = np.abs(r)
+        np.maximum(bound, np.outer(np.abs(f), bound[row]), out=bound)
+        np.maximum(bound, mag, out=bound)
+        np.maximum(carried, bound[:, col], out=carried)
+        settled = mag[:row] <= rel * bound[:row]
+        settled[np.arange(row), pivots] = False
+        r[:row][settled] = 0.0
+        r[row:][mag[row:] <= rel * bound[row:].max(axis=1, keepdims=True)] = 0.0
         pivots.append(col)
         row += 1
     r[row:] = 0.0
@@ -184,15 +191,6 @@ def _homogeneous_rows(h, tol: Tolerance | None) -> np.ndarray:
     return r[: len(pivots)]
 
 
-def _echelon_projector(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projector ``rows^+ rows`` onto the span of echelon ``rows``, and ``rows^+ rhs``.
-
-    Their identity in the pivot columns keeps every singular value at least 1.
-    """
-    u, s, vt = _svd(rows)
-    return vt.T @ vt, vt.T @ ((u.T @ rhs) / s)
-
-
 def projection(h, tol: Tolerance | None = None) -> np.ndarray:
     """Orthogonal projector onto the row space of ``h``: ``hT (h hT)^+ h``.
 
@@ -201,5 +199,5 @@ def projection(h, tol: Tolerance | None = None) -> np.ndarray:
     same row space gives the same projector, symmetric and idempotent up to
     rounding, whatever the scale of ``h`` or of its rows.
     """
-    rows = _homogeneous_rows(h, tol)
-    return _echelon_projector(rows[:, :-1], rows[:, -1])[0]
+    vt = _svd(_homogeneous_rows(h, tol)[:, :-1])[2]
+    return vt.T @ vt

@@ -68,6 +68,30 @@ class TestConsistency:
         h = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]]
         assert is_consistent(LinearHypothesis(h, np.zeros(3)))
 
+    def test_large_right_hand_side_keeps_a_small_contradiction(self):
+        # theta = 1e7 and theta = 1e7 + 2 disagree by far more than the
+        # rounding of eliminating theta, about eps * 1e7.
+        hyp = LinearHypothesis([[1.0], [1.0]], [1e7, 1e7 + 2.0])
+        assert not is_consistent(hyp)
+        with pytest.raises(InconsistentHypothesisError):
+            canonical_form(hyp)
+        with pytest.raises(InconsistentHypothesisError):
+            projection_form(hyp)
+
+    def test_large_right_hand_sides(self):
+        # A dependent row whose right-hand side is off by 1e-10 to 1e-2 of
+        # right-hand sides of size 1e2 to 1e10 is inconsistent; without the
+        # offset it is consistent.
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            a = rng.standard_normal((2, 3))
+            h = np.vstack([a, a[0] + 2.0 * a[1]])
+            big = 10.0 ** rng.uniform(2.0, 10.0)
+            y = big * rng.standard_normal(2)
+            gap = big * 10.0 ** rng.uniform(-10.0, -2.0)
+            assert is_consistent(LinearHypothesis(h, np.append(y, y[0] + 2.0 * y[1])))
+            assert not is_consistent(LinearHypothesis(h, np.append(y, y[0] + 2.0 * y[1] + gap)))
+
     def test_one_verdict_at_every_entry_point_near_the_cutoff(self):
         # A redundant row whose right-hand side is off by 1e-16 to 1e-11
         # relative sits right at the consistency cutoff; every entry point

@@ -163,6 +163,17 @@ class TestRref:
                 assert not out[r:].any()
                 assert round(np.trace(projection(h))) == r
 
+    @pytest.mark.parametrize("big, gap", [(1e3, 1e-8), (1e5, 1e-4), (1e7, 2.0)])
+    def test_a_large_entry_does_not_hide_a_difference(self, big, gap):
+        # Row 1 is [0, gap] after column 0, with rounding near eps * big: the
+        # pivot multiplier was 1, whatever the size of the entry next to it.
+        a = np.array([[1.0, big], [1.0, big + gap]])
+        # Back substitution subtracts big times row 1 from row 0 and leaves
+        # its pivot exactly 1.
+        np.testing.assert_array_equal(rref(a)[0], np.eye(2))
+        assert rank(a) == np.linalg.matrix_rank(a) == 2
+        assert round(np.trace(projection(a))) == 2
+
 
 class TestProjection:
     def test_paper_given_centering(self):
