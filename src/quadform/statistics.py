@@ -35,14 +35,14 @@ class StatisticInput:
 
     def __post_init__(self) -> None:
         t = as_vector(self.t).copy()
-        sigma = _covariance(self.sigma)
+        sigma = _covariance(self.sigma).copy()
         if t.shape[0] != sigma.shape[0]:
             raise ValueError(
                 f"T has length {t.shape[0]} but Sigma is "
                 f"{sigma.shape[0]}x{sigma.shape[1]}"
             )
         n = _sample_size(self.n)
-        t.flags.writeable = False
+        t.flags.writeable = sigma.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "n", n)
@@ -79,8 +79,8 @@ def _check_symmetric(a: np.ndarray, message: str) -> None:
 
 
 def _covariance(sigma) -> np.ndarray:
-    """A read-only copy of ``sigma``, checked to be square, symmetric and PSD."""
-    sigma = as_matrix(sigma).copy()
+    """``sigma`` as a float matrix, not copied, checked to be square, symmetric and PSD."""
+    sigma = as_matrix(sigma)
     if sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"covariance must be square, got shape {sigma.shape}")
     _check_symmetric(sigma, "covariance is not symmetric")
@@ -94,37 +94,38 @@ def _covariance(sigma) -> np.ndarray:
         scaled = sigma / _pow2_scale(sigma)
         if float(np.linalg.eigvalsh(scaled)[0]) < -1e-10 * float(np.linalg.norm(scaled)):
             raise ValueError("covariance is not positive semidefinite") from None
-    sigma.flags.writeable = False
     return sigma
 
 
-def _check_match(hyp: LinearHypothesis, d: int) -> None:
-    if hyp.d != d:
+def _check_match(width: int, d: int) -> None:
+    if width != d:
         raise ValueError(
-            f"hypothesis has {hyp.d} columns but the statistic vector has length {d}"
+            f"hypothesis has {width} columns but the statistic vector has length {d}"
         )
 
 
 def _wald_factor(
     hyp: LinearHypothesis, sigma: np.ndarray, tol: Tolerance | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kept pairs ``(lam, w)`` of ``K = H S H'``, with ``r' K^+ r = sum((w' r)^2 / lam)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lam, a, b)`` with ``r' K^+ r = sum(z^2 / lam)`` for ``z = a t - b``, ``K = H S H'``.
 
-    ``S`` is Sigma, or its diagonal as a vector for MATS.  Each row of ``H`` is
-    divided by a power of two ``g`` first and ``w = v / g``, so no row scale
-    moves the rank or the value; an explicit ``rank_tol`` cuts the scaled kernel.
+    ``S`` is Sigma, or its diagonal as a vector for MATS.  Each row of ``[H | y]``
+    is divided by a power of two ``g``, which rounds nothing, and the kept
+    eigenpairs ``(lam, v)`` of the scaled kernel are applied to those rows once:
+    ``a = v' H / g`` is ``k x d`` and ``b = v' y / g`` has length ``k``, the
+    kernel rank, however many rows ``H`` has.  No row scale moves the rank or
+    the value; an explicit ``rank_tol`` cuts the scaled kernel.
     """
-    # No g below the smallest normal power of two: 1 / g must stay finite.
-    g = np.maximum(_pow2_scale(hyp.h, axis=1), np.finfo(np.float64).tiny)[:, None]
-    h = hyp.h / g
+    g = _pow2_scale(hyp.h, axis=1)
+    h = hyp.h / g[:, None]
     lam, v = _psd_factor((h * sigma if sigma.ndim == 1 else h @ sigma) @ h.T, tol)
-    return lam, v / g
+    return lam, v.T @ h, v.T @ (hyp.y / g)
 
 
-def _wald(kind: str, hyp: LinearHypothesis, t: np.ndarray, scale: float, factor) -> StatisticResult:
-    """``scale * r' K^+ r`` for ``r = H t - y``, a sum of terms ``(w' r)^2 / lam >= 0``."""
-    lam, w = factor
-    z = (hyp.h @ t - hyp.y) @ w
+def _wald(kind: str, t: np.ndarray, scale: float, factor) -> StatisticResult:
+    """``scale * r' K^+ r`` for ``r = H t - y``, a sum of terms ``z^2 / lam >= 0``."""
+    lam, a, b = factor
+    z = a @ t - b
     return StatisticResult(kind, scale * float((z / lam) @ z), lam.shape[0])
 
 
@@ -137,8 +138,8 @@ def wts(
     set of the hypothesis, not on the concrete matrix encoding it, so any two
     equivalent systems give the same number.
     """
-    _check_match(hyp, inp.d)
-    return _wald("WTS", hyp, inp.t, inp.n, _wald_factor(hyp, inp.sigma, tol))
+    _check_match(hyp.d, inp.d)
+    return _wald("WTS", inp.t, inp.n, _wald_factor(hyp, inp.sigma, tol))
 
 
 def mats(
@@ -153,8 +154,8 @@ def mats(
     diag = np.diag(inp.sigma)
     if np.any(diag <= 0):
         raise ValueError("MATS requires strictly positive covariance diagonal entries")
-    _check_match(hyp, inp.d)
-    return _wald("MATS", hyp, inp.t, 1.0, _wald_factor(hyp, diag, tol))
+    _check_match(hyp.d, inp.d)
+    return _wald("MATS", inp.t, 1.0, _wald_factor(hyp, diag, tol))
 
 
 def ats(hyp: LinearHypothesis, t, n: float) -> StatisticResult:
@@ -166,7 +167,7 @@ def ats(hyp: LinearHypothesis, t, n: float) -> StatisticResult:
     leave it alone.  See ``reduce_for_ats``.
     """
     t = as_vector(t)
-    _check_match(hyp, t.shape[0])
+    _check_match(hyp.d, t.shape[0])
     n = _sample_size(n)
     r = hyp.h @ t - hyp.y
     return StatisticResult("ATS", n * float(r @ r), hyp.m)
@@ -180,7 +181,7 @@ def ats_standardized(hyp: LinearHypothesis, inp: StatisticInput) -> StatisticRes
     rounds nothing, and keeps the sums of squares in range at any scale of H.
     The vanishing test measures Sigma by its trace, which squares no entry.
     """
-    _check_match(hyp, inp.d)
+    _check_match(hyp.d, inp.d)
     g = _pow2_scale(hyp.h)
     h, y = hyp.h / g, hyp.y / g
     denom = float(np.sum((h @ inp.sigma) * h))
@@ -198,10 +199,12 @@ class WtsKernel:
 
     The pseudo-inverse of ``H Sigma H'`` depends only on the hypothesis and
     the covariance, so for many statistic vectors (bootstrap or permutation
-    replicates) it pays to factor it once.  The constructor keeps the r pairs
-    of :func:`_wald_factor` that :func:`wts` computes on every call, not a
-    dense m x m inverse.  Instances are immutable and safe to share across
-    threads; ``evaluate`` returns exactly what :func:`wts` returns.
+    replicates) it pays to factor it once.  The constructor keeps the form
+    ``(lam, a, b)`` of :func:`_wald_factor` that :func:`wts` computes on every
+    call: ``k`` rows of width ``d``, the kernel rank, for any encoding, so an
+    evaluation costs ``k * d``, not ``m * d``.  Instances are immutable and
+    safe to share across threads; ``evaluate`` returns exactly what
+    :func:`wts` returns.
     """
 
     def __init__(
@@ -215,18 +218,13 @@ class WtsKernel:
             )
         self._n = _sample_size(n)
         self._factor = _wald_factor(hypothesis, sigma, tol)
-        for a in self._factor:
-            a.flags.writeable = False
-        self._hypothesis = hypothesis
-
-    @property
-    def hypothesis(self) -> LinearHypothesis:
-        return self._hypothesis
+        for x in self._factor:
+            x.flags.writeable = False
 
     def evaluate(self, t) -> StatisticResult:
         t = as_vector(t)
-        _check_match(self._hypothesis, t.shape[0])
-        return _wald("WTS", self._hypothesis, t, self._n, self._factor)
+        _check_match(self._factor[1].shape[1], t.shape[0])
+        return _wald("WTS", t, self._n, self._factor)
 
 
 def vech_upper(v) -> np.ndarray:

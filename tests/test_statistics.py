@@ -221,10 +221,11 @@ class TestMats:
 class TestWaldRowScale:
     """Wald kernels are formed from rows divided by powers of two."""
 
-    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-9, 1e-12])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-9, 1e-12, 1e-310, 5e-324])
     def test_a_small_row_keeps_its_degree_of_freedom(self, eps):
         # H Sigma H' has eigenvalues near 1 and eps**2; unscaled, the second
         # fell under the rank cutoff from eps = 1e-8 on (WTS 3.6, MATS 0.072).
+        # The subnormal rows are divided by their own subnormal scale too.
         inp = StatisticInput([0.3, 0.5, -0.2], np.eye(3) + np.ones((3, 3)) / 4.0, 50)
         hyp = LinearHypothesis([[1.0, 0.0, 0.0], [0.0, eps, 0.0]], np.zeros(2))
         for statistic, unit_value in ((wts, 35.0 / 3.0), (mats, 0.272)):
@@ -235,7 +236,7 @@ class TestWaldRowScale:
     @pytest.mark.parametrize("k", [1e-170, 1e-310, 1e160])
     def test_extreme_scale_of_the_whole_h(self, k):
         # Unscaled, H Sigma H' underflowed to zero (value 0.0) or overflowed.
-        # 1e-310 is subnormal; a row scale below 2**-1022 would make 1 / g overflow.
+        # 1e-310 is subnormal, and so is its row scale; dividing by it rounds nothing.
         hyp = LinearHypothesis(k * np.eye(2), np.zeros(2))
         inp = StatisticInput([1.0, 2.0], np.eye(2), 1)
         values = [
@@ -357,6 +358,19 @@ class TestWtsKernel:
 
     def test_evaluate_checks_vector_length(self):
         kernel = WtsKernel(LinearHypothesis(np.eye(2), np.zeros(2)), np.eye(2), 1)
+        with pytest.raises(
+            ValueError, match="hypothesis has 2 columns but the statistic vector has length 3"
+        ):
+            kernel.evaluate(np.ones(3))
+
+    def test_kernel_of_rank_zero(self):
+        # H annihilates the singular Sigma = J: no pair is kept, and the form
+        # still has the hypothesis's width.
+        hyp = LinearHypothesis([[1.0, -1.0]], [0.0])
+        sigma = np.ones((2, 2))
+        kernel = WtsKernel(hyp, sigma, 5)
+        for result in (wts(hyp, StatisticInput([1.0, 2.0], sigma, 5)), kernel.evaluate([1.0, 2.0])):
+            assert (result.value, result.m_effective) == (0.0, 0)
         with pytest.raises(
             ValueError, match="hypothesis has 2 columns but the statistic vector has length 3"
         ):
