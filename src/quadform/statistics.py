@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypothesis import LinearHypothesis
-from .linalg import _EPS, Tolerance, _pow2_scale, _psd_factor, as_matrix, as_vector
+from .linalg import _EPS, NumericError, Tolerance, _pow2_scale, _psd_factor, as_matrix, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,14 +35,14 @@ class StatisticInput:
 
     def __post_init__(self) -> None:
         t = as_vector(self.t).copy()
-        sigma = _covariance(self.sigma).copy()
+        sigma = _covariance(self.sigma)
         if t.shape[0] != sigma.shape[0]:
             raise ValueError(
                 f"T has length {t.shape[0]} but Sigma is "
                 f"{sigma.shape[0]}x{sigma.shape[1]}"
             )
         n = _sample_size(self.n)
-        t.flags.writeable = sigma.flags.writeable = False
+        t.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "n", n)
@@ -79,8 +79,8 @@ def _check_symmetric(a: np.ndarray, message: str) -> None:
 
 
 def _covariance(sigma) -> np.ndarray:
-    """``sigma`` as a float matrix, not copied, checked to be square, symmetric and PSD."""
-    sigma = as_matrix(sigma)
+    """A read-only copy of ``sigma``, checked to be square, symmetric and PSD."""
+    sigma = as_matrix(sigma).copy()
     if sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"covariance must be square, got shape {sigma.shape}")
     _check_symmetric(sigma, "covariance is not symmetric")
@@ -94,6 +94,7 @@ def _covariance(sigma) -> np.ndarray:
         scaled = sigma / _pow2_scale(sigma)
         if float(np.linalg.eigvalsh(scaled)[0]) < -1e-10 * float(np.linalg.norm(scaled)):
             raise ValueError("covariance is not positive semidefinite") from None
+    sigma.flags.writeable = False
     return sigma
 
 
@@ -106,27 +107,28 @@ def _check_match(width: int, d: int) -> None:
 
 def _wald_factor(
     hyp: LinearHypothesis, sigma: np.ndarray, tol: Tolerance | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lam, a, b)`` with ``r' K^+ r = sum(z^2 / lam)`` for ``z = a t - b``, ``K = H S H'``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(lam, v, h, y)``: ``r' K^+ r = sum(z^2 / lam)`` for ``z = v'(h t - y)``, ``K = H S H'``.
 
-    ``S`` is Sigma, or its diagonal as a vector for MATS.  Each row of ``[H | y]``
-    is divided by a power of two ``g``, which rounds nothing, and the kept
-    eigenpairs ``(lam, v)`` of the scaled kernel are applied to those rows once:
-    ``a = v' H / g`` is ``k x d`` and ``b = v' y / g`` has length ``k``, the
-    kernel rank, however many rows ``H`` has.  No row scale moves the rank or
-    the value; an explicit ``rank_tol`` cuts the scaled kernel.
+    ``S`` is Sigma, or its diagonal as a vector for MATS.  ``[h | y]`` is each
+    row of ``[H | y]`` divided by a power of two near its largest ``|H|``, which
+    rounds no entry of ``H``, and ``(lam, v)`` are the kept pairs of the scaled
+    kernel, so no row scale moves the rank or the value; ``rank_tol`` cuts it.
     """
     g = _pow2_scale(hyp.h, axis=1)
-    h = hyp.h / g[:, None]
+    h, y = hyp.h / g[:, None], hyp.y / g
     lam, v = _psd_factor((h * sigma if sigma.ndim == 1 else h @ sigma) @ h.T, tol)
-    return lam, v.T @ h, v.T @ (hyp.y / g)
+    return lam, v, h, y
 
 
 def _wald(kind: str, t: np.ndarray, scale: float, factor) -> StatisticResult:
-    """``scale * r' K^+ r`` for ``r = H t - y``, a sum of terms ``z^2 / lam >= 0``."""
-    lam, a, b = factor
-    z = a @ t - b
-    return StatisticResult(kind, scale * float((z / lam) @ z), lam.shape[0])
+    """``scale * r' K^+ r`` for ``r = h t - y``, a sum of terms ``z^2 / lam >= 0``."""
+    lam, v, h, y = factor
+    z = (h @ t - y) @ v  # r before v mixes the rows: a small r keeps its relative accuracy
+    value = scale * float((z / lam) @ z)
+    if value != value:  # NaN: an overflowed residual met an exact zero of v
+        raise NumericError("a residual of the row-scaled hypothesis overflows")
+    return StatisticResult(kind, value, lam.shape[0])
 
 
 def wts(
@@ -200,11 +202,10 @@ class WtsKernel:
     The pseudo-inverse of ``H Sigma H'`` depends only on the hypothesis and
     the covariance, so for many statistic vectors (bootstrap or permutation
     replicates) it pays to factor it once.  The constructor keeps the form
-    ``(lam, a, b)`` of :func:`_wald_factor` that :func:`wts` computes on every
-    call: ``k`` rows of width ``d``, the kernel rank, for any encoding, so an
-    evaluation costs ``k * d``, not ``m * d``.  Instances are immutable and
-    safe to share across threads; ``evaluate`` returns exactly what
-    :func:`wts` returns.
+    ``(lam, v, h, y)`` of :func:`_wald_factor` that :func:`wts` computes on
+    every call, not a dense m x m inverse, so an evaluation costs ``m * d``.
+    Instances are immutable and safe to share across threads; ``evaluate``
+    returns exactly what :func:`wts` returns.
     """
 
     def __init__(
@@ -218,12 +219,12 @@ class WtsKernel:
             )
         self._n = _sample_size(n)
         self._factor = _wald_factor(hypothesis, sigma, tol)
-        for x in self._factor:
-            x.flags.writeable = False
+        for a in self._factor:
+            a.flags.writeable = False
 
     def evaluate(self, t) -> StatisticResult:
         t = as_vector(t)
-        _check_match(self._factor[1].shape[1], t.shape[0])
+        _check_match(self._factor[2].shape[1], t.shape[0])
         return _wald("WTS", t, self._n, self._factor)
 
 

@@ -6,6 +6,7 @@ import pytest
 from quadform import (
     EquivalenceVerdict,
     LinearHypothesis,
+    NumericError,
     StatisticInput,
     WtsKernel,
     ats,
@@ -18,7 +19,7 @@ from quadform import (
     vech_upper,
     wts,
 )
-from quadform.bench import build_setting_a
+from quadform.bench import build_setting_a, build_setting_b
 
 from helpers import HARNESS_TOL, equivalent_pair, random_orthogonal, random_spd
 
@@ -245,6 +246,35 @@ class TestWaldRowScale:
             WtsKernel(hyp, np.eye(2), 1).evaluate([1.0, 2.0]).value,
         ]
         assert values == pytest.approx([5.0] * 3, rel=1e-14)
+
+    def test_a_right_hand_side_overflowing_its_row_scale_is_an_error(self):
+        # y / g = 1e10 / 2**-997 is past the float range; the exact zeros of v
+        # would turn that inf into a NaN statistic, which rejects nothing.
+        hyp = LinearHypothesis([[1e-300, 0.0], [0.0, 1.0]], [1e10, 0.0])
+        inp = StatisticInput([1.0, 2.0], np.eye(2), 1)
+        for statistic in (
+            lambda: wts(hyp, inp),
+            lambda: mats(hyp, inp),
+            lambda: WtsKernel(hyp, np.eye(2), 1).evaluate([1.0, 2.0]),
+        ):
+            with pytest.raises(NumericError, match="overflows"), pytest.warns(RuntimeWarning):
+                statistic()
+
+    @pytest.mark.parametrize("setting", ["A", "B"])
+    def test_an_exact_tiny_residual_survives_the_redundant_rows(self, setting):
+        # t is dyadic, so every row's residual is exactly 2**-30; v'H and v'y
+        # rounded apart would lose about five digits of it.
+        full, minimal = build_setting_a(50) if setting == "A" else build_setting_b(27, 54.0)
+        h, gamma = minimal.h[0], minimal.y[0]
+        t = np.random.default_rng(30).integers(-4096, 4096, h.shape[0]) / 1024.0
+        t[0] = 0.0
+        t[0] = (gamma - h @ t + 2.0**-30) / h[0]
+        sigma = np.eye(h.shape[0]) + 1.0
+        expected = 3 * 2.0**-60 / float(h @ sigma @ h)
+        for hyp in (full, minimal):
+            kernel = WtsKernel(hyp, sigma, 3)
+            values = [wts(hyp, StatisticInput(t, sigma, 3)).value, kernel.evaluate(t).value]
+            assert values == pytest.approx([expected] * 2, rel=1e-12, abs=0.0)
 
     def test_degrees_of_freedom_of_setting_a(self):
         full, minimal = build_setting_a(200)
