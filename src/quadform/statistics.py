@@ -9,6 +9,7 @@ and a plain sample-covariance estimator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,8 +127,8 @@ def _wald(kind: str, t: np.ndarray, scale: float, factor) -> StatisticResult:
     lam, v, h, y = factor
     z = (h @ t - y) @ v  # r before v mixes the rows: a small r keeps its relative accuracy
     value = scale * float((z / lam) @ z)
-    if value != value:  # NaN: an overflowed residual met an exact zero of v
-        raise NumericError("a residual of the row-scaled hypothesis overflows")
+    if not math.isfinite(value):  # inf, or NaN where an inf residual met an exact zero of v
+        raise NumericError("the Wald form overflows the float range")
     return StatisticResult(kind, value, lam.shape[0])
 
 

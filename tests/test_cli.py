@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from quadform import (
     LinearHypothesis,
@@ -11,7 +14,13 @@ from quadform import (
     wts,
 )
 from quadform.cli import main
-from quadform.io import read_matrix_csv, write_matrix_csv, write_vector_csv
+from quadform.io import (
+    format_matrix_csv,
+    read_matrix_csv,
+    read_vector_csv,
+    write_matrix_csv,
+    write_vector_csv,
+)
 
 CENTERING_3 = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]) / 3.0
 
@@ -134,6 +143,22 @@ class TestStat:
         assert code == 1
         assert capsys.readouterr().err.strip()
 
+    def test_overflowing_statistic_exits_2(self, tmp_path, capsys):
+        # y / g = 1e10 / 2**-997 overflows; the statistic is an error, not "inf".
+        h = _write(tmp_path, "h.csv", [[1e-300, 0.0], [0.0, 1.0]])
+        y = _write_vec(tmp_path, "y.csv", [1e10, 0.0])
+        t = _write_vec(tmp_path, "t.csv", [1.0, 2.0])
+        s = _write(tmp_path, "s.csv", np.eye(2) + np.ones((2, 2)) / 4.0)
+        with pytest.warns(RuntimeWarning):
+            code = main(
+                ["stat", "--kind", "wts", "--hypothesis", h, "--rhs", y,
+                 "--t", t, "--sigma", s, "--n", "1"]
+            )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
 
 class TestCanonReduce:
     def test_canon_writes_files_matching_library(self, tmp_path):
@@ -232,6 +257,72 @@ class TestCsvErrors:
         assert str(path) in err
         assert "Traceback" not in err
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("1,2\n\n   \n3,x\n")
+        with pytest.raises(ValueError, match="line 4: non-numeric entry"):
+            read_matrix_csv(path)
+        # A bad entry is named before an earlier short row.
+        path.write_text("1,2\n3\n\n4,x\n")
+        with pytest.raises(ValueError, match="line 4: non-numeric entry"):
+            read_matrix_csv(path)
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"1,2\r\n\r\n3,4\r\n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+        path.write_bytes(b"1,2\r\n\r\n3\r\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 entries, found 1"):
+            read_matrix_csv(path)
+
+    def test_whitespace_around_tokens(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(" 1 ,\t-2.5e1\t\n  3,  4  \n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, -25.0], [3.0, 4.0]])
+
+    def test_comment_is_non_numeric(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("1,2 # c\n")
+        with pytest.raises(ValueError, match="line 1: non-numeric entry"):
+            read_matrix_csv(path)
+
+    def test_out_of_range_decimal_is_non_finite(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("1,2\n1e500,3\n")
+        with pytest.raises(ValueError, match="line 2: non-finite entry"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, shape",
+        [("7\n", (1, 1)), ("1,2,3\n", (1, 3)), ("1\n2\n3\n", (3, 1))],
+        ids=["1x1", "1xn", "nx1"],
+    )
+    def test_thin_shapes(self, tmp_path, text, shape):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        m = read_matrix_csv(path)
+        assert m.shape == shape
+        assert m.dtype == np.float64
+        if shape[1] == 1:
+            np.testing.assert_array_equal(read_vector_csv(path), m[:, 0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("content", [b"", b"\n \n\t\r\n"], ids=["empty", "blank-only"])
+    def test_no_rows_raises_without_warning(self, tmp_path, content):
+        path = tmp_path / "h.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="no matrix rows found"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+    def test_tokens_only_python_float_accepts_are_non_numeric(self, tmp_path, capsys, token):
+        # float() reads these, numpy's parser does not; the CSV grammar is numpy's.
+        path = tmp_path / "h.csv"
+        path.write_text(f"1,{token}\n", encoding="utf-8")
+        y = _write_vec(tmp_path, "y.csv", [0.0])
+        assert main(["canon", "--hypothesis", str(path), "--rhs", y]) == 1
+        assert "line 1: non-numeric entry" in capsys.readouterr().err
+
     def test_inputs_never_mutated(self, tmp_path, capsys):
         h = _write(tmp_path, "h.csv", np.eye(2))
         y = _write_vec(tmp_path, "y.csv", [1.0, 2.0])
@@ -239,6 +330,35 @@ class TestCsvErrors:
         main(["canon", "--hypothesis", h, "--rhs", y])
         capsys.readouterr()
         assert (open(h).read(), open(y).read()) == before
+
+
+def _formatted_one_value_at_a_time(matrix):
+    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in matrix) + "\n"
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 12), (12, 1), (3, 4)])
+    def test_bytes_match_per_value_formatting(self, shape):
+        tiny, big = 5e-324, np.finfo(np.float64).max
+        grid = [-0.0, 0.0, tiny, -tiny, big, -big, 1.0, -3.0, 2.0**53, 1e22, 0.1, -1.0 / 3.0]
+        values = np.resize(np.array(grid), shape)
+        assert format_matrix_csv(values) == _formatted_one_value_at_a_time(values)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        values=arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, max_side=6),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_write_then_read_keeps_every_bit(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("roundtrip") / "m.csv"
+        write_matrix_csv(values, path)
+        back = read_matrix_csv(path)
+        assert back.shape == values.shape
+        assert back.tobytes() == values.tobytes()
+        assert path.read_text() == _formatted_one_value_at_a_time(values)
 
 
 class TestBenchCommand:

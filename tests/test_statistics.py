@@ -260,6 +260,20 @@ class TestWaldRowScale:
             with pytest.raises(NumericError, match="overflows"), pytest.warns(RuntimeWarning):
                 statistic()
 
+    def test_an_overflow_that_meets_no_zero_is_an_error_too(self):
+        # With Sigma = I + J/4 no entry of the WTS kernel's v is zero, so the
+        # inf residual stays inf; an inf statistic is no more a value than NaN.
+        hyp = LinearHypothesis([[1e-300, 0.0], [0.0, 1.0]], [1e10, 0.0])
+        sigma = np.eye(2) + np.ones((2, 2)) / 4.0
+        inp = StatisticInput([1.0, 2.0], sigma, 1)
+        for statistic in (
+            lambda: wts(hyp, inp),
+            lambda: mats(hyp, inp),
+            lambda: WtsKernel(hyp, sigma, 1).evaluate([1.0, 2.0]),
+        ):
+            with pytest.raises(NumericError, match="overflows"), pytest.warns(RuntimeWarning):
+                statistic()
+
     @pytest.mark.parametrize("setting", ["A", "B"])
     def test_an_exact_tiny_residual_survives_the_redundant_rows(self, setting):
         # t is dyadic, so every row's residual is exactly 2**-30; v'H and v'y
