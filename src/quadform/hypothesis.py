@@ -45,6 +45,27 @@ class EquivalenceVerdict(enum.Enum):
     BOTH_INCONSISTENT = "both-inconsistent"
 
 
+class _Support(NamedTuple):
+    """The support of ``H`` and the row-scaled ``[h | y]`` of its Wald forms.
+
+    ``rows`` and ``cols`` index the rows and the columns of ``H`` with a
+    nonzero entry; each is ``slice(None)`` when that is all of them, so that
+    indexing with it copies nothing.  ``[h | y]`` is ``[H | y]`` with each row
+    divided by a power of two near its largest ``|H|``, which rounds no entry
+    of ``H``; ``y_finite`` is False when a ``y`` entry overflowed that division.
+    """
+
+    rows: slice | np.ndarray
+    cols: slice | np.ndarray
+    h: np.ndarray
+    y: np.ndarray
+    y_finite: bool
+
+
+def _indices(nonzero: np.ndarray) -> slice | np.ndarray:
+    return slice(None) if nonzero.all() else np.flatnonzero(nonzero)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearHypothesis:
     """A null hypothesis ``H theta = y`` with H of shape (m, d), y of length m.
@@ -52,6 +73,9 @@ class LinearHypothesis:
     Arrays are copied and frozen at construction, so instances are immutable
     and safe to share across threads.  An all-zero H paired with a nonzero y
     is rejected: no theta can satisfy it.
+
+    Construction also keeps what the statistics read on every call, as
+    ``_support`` (see :class:`_Support`).
     """
 
     h: np.ndarray
@@ -62,12 +86,19 @@ class LinearHypothesis:
         y = as_vector(self.y).copy()
         if y.shape[0] != h.shape[0]:
             raise ValueError(f"y has length {y.shape[0]} but H has {h.shape[0]} rows")
-        if not h.any() and y.any():
+        rows = h.any(axis=1)
+        if not rows.any() and y.any():
             raise ValueError("all-zero H with nonzero y has no solution")
-        h.flags.writeable = False
-        y.flags.writeable = False
+        g = _pow2_scale(h, axis=1)
+        with np.errstate(over="ignore"):  # an overflow is recorded in y_finite
+            h_scaled, y_scaled = h / g[:, None], y / g
+        for a in (h, y, h_scaled, y_scaled):
+            a.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "y", y)
+        y_finite = bool(np.isfinite(y_scaled).all())
+        support = _Support(_indices(rows), _indices(h.any(axis=0)), h_scaled, y_scaled, y_finite)
+        object.__setattr__(self, "_support", support)
 
     @property
     def m(self) -> int:

@@ -115,10 +115,22 @@ def _wald_factor(
     row of ``[H | y]`` divided by a power of two near its largest ``|H|``, which
     rounds no entry of ``H``, and ``(lam, v)`` are the kept pairs of the scaled
     kernel, so no row scale moves the rank or the value; ``rank_tol`` cuts it.
+    ``K`` is formed and factored on the nonzero rows and columns of ``H`` only:
+    a zero column multiplies nothing, and a zero row adds a zero row and
+    column to ``K``, which ``K^+`` ignores.  So the default cutoff counts the
+    nonzero rows, and ``v`` keeps all ``m`` rows, exactly zero on the others.
     """
-    g = _pow2_scale(hyp.h, axis=1)
-    h, y = hyp.h / g[:, None], hyp.y / g
-    lam, v = _psd_factor((h * sigma if sigma.ndim == 1 else h @ sigma) @ h.T, tol)
+    rows, cols, h, y, y_finite = hyp._support
+    hs = h[rows][:, cols]
+    hs_s = hs * sigma[cols] if sigma.ndim == 1 else hs @ sigma[cols][:, cols]
+    lam, vs = _psd_factor(hs_s @ hs.T, tol)
+    if lam.size and not y_finite:
+        # Every kept pair meets the inf residual, as inf or as NaN where v is 0.
+        raise NumericError("the Wald form overflows the float range")
+    if isinstance(rows, slice):
+        return lam, vs, h, y
+    v = np.zeros((h.shape[0], vs.shape[1]))
+    v[rows] = vs
     return lam, v, h, y
 
 
@@ -182,13 +194,17 @@ def ats_standardized(hyp: LinearHypothesis, inp: StatisticInput) -> StatisticRes
     Both are quadratic in ``(H, y)``, so the ratio is computed on ``H`` and
     ``y`` divided by a power of two near the largest entry of ``H``.  That
     rounds nothing, and keeps the sums of squares in range at any scale of H.
-    The vanishing test measures Sigma by its trace, which squares no entry.
+    The trace is summed over the rows and columns of H with a nonzero entry.
+    The vanishing test measures Sigma on those columns by its trace, which
+    squares no entry.
     """
     _check_match(hyp.d, inp.d)
+    rows, cols = hyp._support.rows, hyp._support.cols
     g = _pow2_scale(hyp.h)
     h, y = hyp.h / g, hyp.y / g
-    denom = float(np.sum((h @ inp.sigma) * h))
-    floor = _EPS * float(np.linalg.norm(h) ** 2) * float(np.trace(inp.sigma))
+    hs, s = h[rows][:, cols], inp.sigma[cols][:, cols]
+    denom = float(np.sum((hs @ s) * hs))
+    floor = _EPS * float(np.linalg.norm(hs) ** 2) * float(np.trace(s))
     if denom <= floor:
         raise ValueError(
             "trace(H Sigma H') vanishes; the hypothesis annihilates the covariance"
@@ -204,7 +220,9 @@ class WtsKernel:
     the covariance, so for many statistic vectors (bootstrap or permutation
     replicates) it pays to factor it once.  The constructor keeps the form
     ``(lam, v, h, y)`` of :func:`_wald_factor` that :func:`wts` computes on
-    every call, not a dense m x m inverse, so an evaluation costs ``m * d``.
+    every call, not a dense m x m inverse.  The kernel is factored on the
+    nonzero rows and columns of ``H``, but ``v`` keeps all ``m`` rows, so an
+    evaluation costs ``m * d`` and is the same arithmetic as in :func:`wts`.
     Instances are immutable and safe to share across threads; ``evaluate``
     returns exactly what :func:`wts` returns.
     """
@@ -256,10 +274,18 @@ def diag_selector(p: int) -> np.ndarray:
 
 
 def sample_covariance(x) -> np.ndarray:
-    """Unbiased sample covariance (divisor n - 1) of observation rows, exactly symmetric."""
+    """Unbiased sample covariance (divisor n - 1) of observation rows, exactly symmetric.
+
+    Raises :class:`NumericError` when a variance overflows the float range.
+    """
     x = as_matrix(x)
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 observations, got {x.shape[0]}")
-    centered = x - x.mean(axis=0)
-    # numpy forms c' c of one buffer by a symmetric rank-k update: no rounding asymmetry.
-    return centered.T @ centered / (x.shape[0] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        # numpy forms c' c of one buffer by a symmetric rank-k update: no rounding asymmetry.
+        cov = centered.T @ centered / (x.shape[0] - 1)
+    # |c_jk| <= sqrt(c_jj c_kk), so finite variances make every entry finite.
+    if not np.isfinite(np.diag(cov)).all():
+        raise NumericError("the sample covariance overflows the float range")
+    return cov

@@ -128,6 +128,49 @@ def test_kernel_evaluate_equals_wts_exactly(seed, d, zero_rows, duplicates, tol)
         assert kernel.evaluate(t).value == wts(hyp, StatisticInput(t, sigma, n), tol).value
 
 
+def _padded_with_zeros(rng, hyp, zero_rows, zero_cols):
+    """``hyp`` with exact zero rows (``y = 0``) and zero columns put in at random,
+    and the new indices of its own columns."""
+    m, d = hyp.h.shape
+    rows = np.sort(rng.choice(m + zero_rows, m, replace=False))
+    cols = np.sort(rng.choice(d + zero_cols, d, replace=False))
+    h = np.zeros((m + zero_rows, d + zero_cols))
+    h[np.ix_(rows, cols)] = hyp.h
+    y = np.zeros(m + zero_rows)
+    y[rows] = hyp.y
+    return LinearHypothesis(h, y), cols
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    d=st.integers(1, 6),
+    m=st.integers(1, 6),
+    zero_rows=st.integers(0, 4),
+    zero_cols=st.integers(0, 4),
+    tol=tolerances,
+)
+def test_zero_rows_and_columns_of_h_change_no_statistic(seed, d, m, zero_rows, zero_cols, tol):
+    # A zero column multiplies nothing, and a zero row adds a zero row and
+    # column to the kernel, which its pseudo-inverse ignores: whatever Sigma
+    # couples the extra columns with and whatever t holds there, the values
+    # and the kernel rank stay, and the default cutoff does not move.
+    rng = np.random.default_rng(seed)
+    h = shaped_matrix(rng, m, d, int(rng.integers(1, min(m, d) + 1)))
+    base = LinearHypothesis(h, h @ rng.standard_normal(d) + 0.1 * rng.standard_normal(m))
+    padded, cols = _padded_with_zeros(rng, base, zero_rows, zero_cols)
+    sigma, t, n = random_spd(rng, padded.d), rng.standard_normal(padded.d), float(rng.integers(1, 50))
+    inp = StatisticInput(t, sigma, n)
+    base_inp = StatisticInput(t[cols], sigma[np.ix_(cols, cols)], n)
+    for statistic in (wts, mats):
+        expected, got = statistic(base, base_inp, tol), statistic(padded, inp, tol)
+        assert got.m_effective == expected.m_effective
+        assert got.value == pytest.approx(expected.value, rel=1e-12)
+    expected = ats_standardized(base, base_inp).value
+    assert ats_standardized(padded, inp).value == pytest.approx(expected, rel=1e-12)
+    assert WtsKernel(padded, sigma, n, tol).evaluate(t) == wts(padded, inp, tol)
+
+
 @PROPERTY
 @given(
     seed=seeds,
