@@ -34,11 +34,12 @@ class NumericError(RuntimeError):
 class Tolerance:
     """Numerical thresholds shared by the rank-sensitive operations.
 
-    ``rank_tol`` is the relative zero-snap multiplier of :func:`rref`, and so
-    of every rank decision: :func:`rank`, :func:`projection`, consistency,
-    equivalence, ``canonical_form`` and ``projection_form``.  Only the Wald
-    kernels read it as an absolute cutoff on the eigenvalues of the row-scaled
-    kernel.  ``None`` derives a scale-invariant default in both places.  It
+    ``rank_tol`` is a relative multiplier with one meaning everywhere.  In
+    :func:`rref`, and so in every rank decision (:func:`rank`,
+    :func:`projection`, consistency, equivalence, ``canonical_form`` and
+    ``projection_form``), it snaps an entry negligible against its row.  In
+    the Wald kernels it drops an eigenvalue at most ``rank_tol`` times the
+    largest.  ``None`` derives a scale-invariant default in both places.  It
     plays no part in the exactly-zero rows of ``dependence_classes`` and
     ``reduce_for_ats``.  ``eq_tol`` is the relative tolerance for entrywise
     matrix comparisons.
@@ -101,10 +102,11 @@ def _psd_factor(a: np.ndarray, tol: Tolerance | None = None) -> tuple[np.ndarray
     """Pseudo-inverse of a symmetric PSD matrix as its kept eigenpairs ``(lam, v)``.
 
     ``a^+ == v @ diag(1 / lam) @ v.T``.  Only the lower triangle of ``a`` is
-    read.  An eigenpair is kept when ``lam`` exceeds ``rank_tol``, by default
-    ``n * eps`` times the largest ``|lam|``, so every kept ``lam`` is positive:
-    a negative eigenvalue of a kernel built from an accepted covariance is
-    rounding, dropped like any other eigenvalue under the cutoff.
+    read.  An eigenpair is kept when ``lam`` exceeds the largest ``|lam|``
+    times ``rank_tol``, or ``n * eps`` by default, the relative reading of
+    :func:`rref`, so no scale of ``a`` moves the rank.  Every kept ``lam`` is
+    positive: a negative eigenvalue of a kernel built from an accepted
+    covariance is rounding, dropped like any other eigenvalue under the cutoff.
     """
     if a.shape == (1, 1):
         # What eigh returns for 1 x 1 input, without its LAPACK call overhead;
@@ -115,10 +117,10 @@ def _psd_factor(a: np.ndarray, tol: Tolerance | None = None) -> tuple[np.ndarray
             lam, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"symmetric eigendecomposition did not converge: {exc}") from exc
-    cutoff = (tol or DEFAULT_TOLERANCE).rank_tol
-    if cutoff is None:
-        cutoff = a.shape[0] * _EPS * float(np.abs(lam).max(initial=0.0))
-    keep = lam > cutoff
+    rel = (tol or DEFAULT_TOLERANCE).rank_tol
+    if rel is None:
+        rel = a.shape[0] * _EPS
+    keep = lam > rel * float(np.abs(lam).max(initial=0.0))
     return lam[keep], v[:, keep]
 
 

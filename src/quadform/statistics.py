@@ -114,7 +114,8 @@ def _wald_factor(
     ``S`` is Sigma, or its diagonal as a vector for MATS.  ``[h | y]`` is each
     row of ``[H | y]`` divided by a power of two near its largest ``|H|``, which
     rounds no entry of ``H``, and ``(lam, v)`` are the kept pairs of the scaled
-    kernel, so no row scale moves the rank or the value; ``rank_tol`` cuts it.
+    kernel, cut relative to its largest eigenvalue, so neither a row scale nor
+    a change of unit of ``t``, ``y`` and ``Sigma`` moves the rank or the value.
     ``K`` is formed and factored on the nonzero rows and columns of ``H`` only:
     a zero column multiplies nothing, and a zero row adds a zero row and
     column to ``K``, which ``K^+`` ignores.  So the default cutoff counts the
@@ -276,7 +277,9 @@ def diag_selector(p: int) -> np.ndarray:
 def sample_covariance(x) -> np.ndarray:
     """Unbiased sample covariance (divisor n - 1) of observation rows, exactly symmetric.
 
-    Raises :class:`NumericError` when a variance overflows the float range.
+    Raises :class:`NumericError` when a variance overflows the float range;
+    finite data whose column sums overflow are centred column by column at a
+    power-of-two scale instead.
     """
     x = as_matrix(x)
     if x.shape[0] < 2:
@@ -287,5 +290,14 @@ def sample_covariance(x) -> np.ndarray:
         cov = centered.T @ centered / (x.shape[0] - 1)
     # |c_jk| <= sqrt(c_jj c_kk), so finite variances make every entry finite.
     if not np.isfinite(np.diag(cov)).all():
-        raise NumericError("the sample covariance overflows the float range")
+        # A column sum can overflow although the spread is finite.  Centre each
+        # column divided by 2^e_j near its largest |x|, and scale c_jk back by
+        # 2^(e_j + e_k) in one step: the product 2^e_j * 2^e_k alone may overflow.
+        e = np.frexp(np.max(np.abs(x), axis=0))[1] - 1
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(x, -e)
+            centered = scaled - scaled.mean(axis=0)
+            cov = np.ldexp(centered.T @ centered / (x.shape[0] - 1), e[:, None] + e)
+        if not np.isfinite(np.diag(cov)).all():
+            raise NumericError("the sample covariance overflows the float range")
     return cov

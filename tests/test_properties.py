@@ -64,7 +64,7 @@ def test_psd_factor_matches_svd_pinv_of_the_psd_part(spectrum, seed, tol):
     psd = (q * np.maximum(spectrum, 0.0)) @ q.T
     psd = (psd + psd.T) / 2.0
     s = np.linalg.svd(a, compute_uv=False)
-    cutoff = tol.rank_tol if tol else n * np.finfo(np.float64).eps * s[0]
+    cutoff = tol.rank_tol * s[0] if tol else n * np.finfo(np.float64).eps * s[0]
     # A singular value within 4x of the cutoff is a near tie, which the two
     # factorizations may settle differently by rounding alone.
     assume(not np.any((s > cutoff / 4.0) & (s < 4.0 * cutoff)))
@@ -243,6 +243,31 @@ def test_statistics_unchanged_when_t_y_and_sigma_scale_together(seed, d, m, j):
         expected, got = statistic(hyp, inp), statistic(scaled_hyp, scaled_inp)
         assert got.m_effective == expected.m_effective
         assert got.value == pytest.approx(expected.value, rel=1e-12)
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    d=st.integers(1, 6),
+    m=st.integers(1, 6),
+    k=st.integers(-30, 30),
+    tol=tolerances,
+)
+def test_wald_forms_unchanged_by_a_change_of_unit(seed, d, m, k, tol):
+    # theta in units 2^-k: t and y scale by a = 2^k and Sigma by a^2, which
+    # rounds nothing.  The kernel scales by a^2 and its cutoff with it, so the
+    # rank and every value stay bit for bit, under an explicit rank_tol too.
+    rng = np.random.default_rng(seed)
+    h = shaped_matrix(rng, m, d, int(rng.integers(1, min(m, d) + 1)))
+    y = h @ rng.standard_normal(d) + 0.1 * rng.standard_normal(m)
+    t, sigma, n = rng.standard_normal(d), random_spd(rng, d), float(rng.integers(1, 50))
+    hyp, inp = LinearHypothesis(h, y), StatisticInput(t, sigma, n)
+    scaled_hyp = LinearHypothesis(h, np.ldexp(y, k))
+    scaled_inp = StatisticInput(np.ldexp(t, k), np.ldexp(sigma, 2 * k), n)
+    for statistic in (wts, mats):
+        assert statistic(scaled_hyp, scaled_inp, tol) == statistic(hyp, inp, tol)
+    kernel = WtsKernel(scaled_hyp, scaled_inp.sigma, n, tol)
+    assert kernel.evaluate(scaled_inp.t) == WtsKernel(hyp, sigma, n, tol).evaluate(t)
 
 
 def _canonical_or_none(hyp):

@@ -8,6 +8,7 @@ from quadform import (
     LinearHypothesis,
     NumericError,
     StatisticInput,
+    Tolerance,
     WtsKernel,
     ats,
     ats_standardized,
@@ -162,6 +163,17 @@ class TestWts:
             v1 = wts(hyp, inp).value
             v2 = wts(scaled, inp).value
             assert abs(v1 - v2) <= 1e-9 * max(abs(v1), 1.0)
+
+    @pytest.mark.parametrize("rank_tol", [None, 1e-8, 0.2])
+    def test_an_explicit_rank_tol_is_relative_at_every_unit(self, rank_tol):
+        # theta in units 2^-k scales t by 2^k and Sigma by 4^k; the kernel's
+        # eigenvalues, 1.5 and 1 times 4^k, must both be kept at every k.
+        hyp = LinearHypothesis(np.eye(2), np.zeros(2))
+        t, sigma, tol = np.array([0.3, 0.5]), np.eye(2) + 0.25, Tolerance(rank_tol=rank_tol)
+        for k in range(-30, 31):
+            result = wts(hyp, StatisticInput(np.ldexp(t, k), np.ldexp(sigma, 2 * k), 50), tol)
+            assert result.m_effective == 2
+            assert result.value == pytest.approx(35.0 / 3.0, rel=1e-14)
 
     def test_dimension_mismatch(self):
         hyp = LinearHypothesis(np.eye(3), np.zeros(3))
@@ -523,6 +535,12 @@ class TestSampleCovariance:
         # The data are finite; their variance, 1e400, is not.
         with pytest.raises(NumericError, match="overflows"):
             sample_covariance([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_a_column_sum_that_overflows_leaves_a_finite_covariance(self, recwarn):
+        # The first column sums to inf; its spread, and every variance, is finite.
+        s = sample_covariance([[1e308, 1.0], [1e308, 2.0]])
+        np.testing.assert_array_equal(s, [[0.0, 0.0], [0.0, 0.5]])
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
