@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -197,24 +198,20 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
 def _time_variant(
     hyp: LinearHypothesis, inp: StatisticInput, cfg: BenchConfig
 ) -> tuple[float, float]:
-    if cfg.precompute:
-        warm = WtsKernel(hyp, inp.sigma, inp.n)
-        for _ in range(_WARMUP_EVALS):
-            warm.evaluate(inp.t)
-        start = time.perf_counter()
-        kernel = WtsKernel(hyp, inp.sigma, inp.n)
-        checksum = 0.0
-        for _ in range(cfg.replications):
-            checksum += kernel.evaluate(inp.t).value
-        total = time.perf_counter() - start
-    else:
-        for _ in range(_WARMUP_EVALS):
-            wts(hyp, inp)
-        start = time.perf_counter()
-        checksum = 0.0
-        for _ in range(cfg.replications):
-            checksum += wts(hyp, inp).value
-        total = time.perf_counter() - start
+    def evaluator():
+        if cfg.precompute:
+            return partial(WtsKernel(hyp, inp.sigma, inp.n).evaluate, inp.t)
+        return partial(wts, hyp, inp)
+
+    warm = evaluator()
+    for _ in range(_WARMUP_EVALS):
+        warm()
+    start = time.perf_counter()
+    evaluate = evaluator()  # a precomputed kernel is built inside the timed region
+    checksum = 0.0
+    for _ in range(cfg.replications):
+        checksum += evaluate().value
+    total = time.perf_counter() - start
     return total, checksum
 
 

@@ -52,14 +52,13 @@ class _Support(NamedTuple):
     nonzero entry; each is ``slice(None)`` when that is all of them, so that
     indexing with it copies nothing.  ``[h | y]`` is ``[H | y]`` with each row
     divided by a power of two near its largest ``|H|``, which rounds no entry
-    of ``H``; ``y_finite`` is False when a ``y`` entry overflowed that division.
+    of ``H``; a ``y`` entry past the float range after that division is inf.
     """
 
     rows: slice | np.ndarray
     cols: slice | np.ndarray
     h: np.ndarray
     y: np.ndarray
-    y_finite: bool
 
 
 def _indices(nonzero: np.ndarray) -> slice | np.ndarray:
@@ -90,14 +89,13 @@ class LinearHypothesis:
         if not rows.any() and y.any():
             raise ValueError("all-zero H with nonzero y has no solution")
         g = _pow2_scale(h, axis=1)
-        with np.errstate(over="ignore"):  # an overflow is recorded in y_finite
+        with np.errstate(over="ignore"):  # the Wald forms decide what an inf y means
             h_scaled, y_scaled = h / g[:, None], y / g
         for a in (h, y, h_scaled, y_scaled):
             a.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "y", y)
-        y_finite = bool(np.isfinite(y_scaled).all())
-        support = _Support(_indices(rows), _indices(h.any(axis=0)), h_scaled, y_scaled, y_finite)
+        support = _Support(_indices(rows), _indices(h.any(axis=0)), h_scaled, y_scaled)
         object.__setattr__(self, "_support", support)
 
     @property
@@ -269,25 +267,22 @@ def dependence_classes(h, tol: Tolerance | None = None) -> DependencePartition:
     g = _pow2_scale(h, axis=1)
     hs = h / g[:, None]
     norms = np.linalg.norm(hs, axis=1)
-    zero_rows: list[int] = []
+    zero_rows = np.flatnonzero(norms == 0.0).tolist()
+    nonzero = np.flatnonzero(norms)
+    units = hs[nonzero] / norms[nonzero, None]
+    lead = np.argmax(np.abs(units) > tol.eq_tol, axis=1)
+    units[units[np.arange(len(nonzero)), lead] < 0] *= -1.0
     groups: list[tuple[list[int], list[float]]] = []
-    units: list[np.ndarray] = []
-    for i in range(h.shape[0]):
-        if norms[i] == 0.0:
-            zero_rows.append(i)
-            continue
-        u = hs[i] / norms[i]
-        lead = int(np.argmax(np.abs(u) > tol.eq_tol))
-        if u[lead] < 0:
-            u = -u
-        for ref, (members, coeffs) in zip(units, groups):
-            if np.max(np.abs(u - ref)) <= tol.eq_tol:
-                rep = members[0]
-                members.append(i)
-                coeffs.append(float(hs[i] @ hs[rep] / norms[rep] ** 2 * (g[i] / g[rep])))
-                break
+    reps = np.empty_like(units)  # the first len(groups) rows are the class units
+    for i, u in zip(nonzero.tolist(), units):
+        hits = np.max(np.abs(reps[: len(groups)] - u), axis=1) <= tol.eq_tol
+        if hits.any():
+            members, coeffs = groups[int(np.argmax(hits))]
+            rep = members[0]
+            members.append(i)
+            coeffs.append(float(hs[i] @ hs[rep] / norms[rep] ** 2 * (g[i] / g[rep])))
         else:
-            units.append(u)
+            reps[len(groups)] = u
             groups.append(([i], [1.0]))
     return DependencePartition(
         zero_rows=tuple(zero_rows),

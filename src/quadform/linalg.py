@@ -8,8 +8,7 @@ Rank has one rule: the pivot count of :func:`rref`, which snaps an entry to
 zero when it is negligible against its own row, so no row scale moves it.
 :func:`projection` and ``projection_form`` read their projector from one thin
 SVD of the echelon rows, so its trace is that count; no Gram matrix ``H H'``
-is formed.  Only the Wald-type kernels ``H Sigma H'``, built from a covariance
-checked to be PSD, cut a spectrum, in one symmetric eigendecomposition.
+is formed.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ class Tolerance:
     :func:`rref`, and so in every rank decision (:func:`rank`,
     :func:`projection`, consistency, equivalence, ``canonical_form`` and
     ``projection_form``), it snaps an entry negligible against its row.  In
-    the Wald kernels it drops an eigenvalue at most ``rank_tol`` times the
-    largest.  ``None`` derives a scale-invariant default in both places.  It
-    plays no part in the exactly-zero rows of ``dependence_classes`` and
-    ``reduce_for_ats``.  ``eq_tol`` is the relative tolerance for entrywise
-    matrix comparisons.
+    the Wald kernels of WTS and MATS, factored in ``statistics``, it drops an
+    eigenvalue at most ``rank_tol`` times the largest.  ``None`` derives a
+    scale-invariant default in both places.  It plays no part in the
+    exactly-zero rows of ``dependence_classes`` and ``reduce_for_ats``.
+    ``eq_tol`` is the relative tolerance for entrywise matrix comparisons.
     """
 
     rank_tol: float | None = None
@@ -96,32 +95,6 @@ def _svd(a: np.ndarray):
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
-
-
-def _psd_factor(a: np.ndarray, tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse of a symmetric PSD matrix as its kept eigenpairs ``(lam, v)``.
-
-    ``a^+ == v @ diag(1 / lam) @ v.T``.  Only the lower triangle of ``a`` is
-    read.  An eigenpair is kept when ``lam`` exceeds the largest ``|lam|``
-    times ``rank_tol``, or ``n * eps`` by default, the relative reading of
-    :func:`rref`, so no scale of ``a`` moves the rank.  Every kept ``lam`` is
-    positive: a negative eigenvalue of a kernel built from an accepted
-    covariance is rounding, dropped like any other eigenvalue under the cutoff.
-    """
-    if a.shape == (1, 1):
-        # What eigh returns for 1 x 1 input, without its LAPACK call overhead;
-        # one-row hypotheses, the paper's minimal encodings, have such kernels.
-        lam, v = a[0].copy(), np.ones((1, 1))
-    else:
-        try:
-            lam, v = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"symmetric eigendecomposition did not converge: {exc}") from exc
-    rel = (tol or DEFAULT_TOLERANCE).rank_tol
-    if rel is None:
-        rel = a.shape[0] * _EPS
-    keep = lam > rel * float(np.abs(lam).max(initial=0.0))
-    return lam[keep], v[:, keep]
 
 
 def rank(a, tol: Tolerance | None = None) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypothesis import LinearHypothesis
-from .linalg import _EPS, NumericError, Tolerance, _pow2_scale, _psd_factor, as_matrix, as_vector
+from .linalg import _EPS, NumericError, Tolerance, _pow2_scale, as_matrix, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,19 +113,35 @@ def _wald_factor(
 
     ``S`` is Sigma, or its diagonal as a vector for MATS.  ``[h | y]`` is each
     row of ``[H | y]`` divided by a power of two near its largest ``|H|``, which
-    rounds no entry of ``H``, and ``(lam, v)`` are the kept pairs of the scaled
-    kernel, cut relative to its largest eigenvalue, so neither a row scale nor
-    a change of unit of ``t``, ``y`` and ``Sigma`` moves the rank or the value.
-    ``K`` is formed and factored on the nonzero rows and columns of ``H`` only:
-    a zero column multiplies nothing, and a zero row adds a zero row and
-    column to ``K``, which ``K^+`` ignores.  So the default cutoff counts the
-    nonzero rows, and ``v`` keeps all ``m`` rows, exactly zero on the others.
+    rounds no entry of ``H``.  ``K`` is formed and factored on the nonzero rows
+    and columns of ``H`` only: a zero column multiplies nothing, and a zero row
+    adds a zero row and column to ``K``, which ``K^+`` ignores.  ``(lam, v)``
+    are the eigenpairs with ``lam`` above the largest ``|lam|`` times
+    ``rank_tol``, or the nonzero-row count times eps by default, as ``rref``
+    reads it, so neither a row scale nor a change of unit of ``t``, ``y`` and
+    ``Sigma`` moves the rank or the value; a negative ``lam`` is rounding.
+    ``v`` keeps all ``m`` rows, exactly zero on the others.  A ``y`` past the
+    float range after the row scaling is an error unless no pair is kept.
     """
-    rows, cols, h, y, y_finite = hyp._support
+    rows, cols, h, y = hyp._support
     hs = h[rows][:, cols]
     hs_s = hs * sigma[cols] if sigma.ndim == 1 else hs @ sigma[cols][:, cols]
-    lam, vs = _psd_factor(hs_s @ hs.T, tol)
-    if lam.size and not y_finite:
+    k = hs_s @ hs.T
+    if k.shape == (1, 1):
+        # What eigh returns for 1 x 1 input, without its LAPACK call overhead;
+        # one-row hypotheses, the paper's minimal encodings, have such kernels.
+        lam, vs = k[0].copy(), np.ones((1, 1))
+    else:
+        try:
+            lam, vs = np.linalg.eigh(k)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"symmetric eigendecomposition did not converge: {exc}") from exc
+    rel = None if tol is None else tol.rank_tol
+    if rel is None:
+        rel = k.shape[0] * _EPS
+    keep = lam > rel * float(np.abs(lam).max(initial=0.0))
+    lam, vs = lam[keep], vs[:, keep]
+    if lam.size and not np.isfinite(y).all():
         # Every kept pair meets the inf residual, as inf or as NaN where v is 0.
         raise NumericError("the Wald form overflows the float range")
     if isinstance(rows, slice):
@@ -135,14 +151,19 @@ def _wald_factor(
     return lam, v, h, y
 
 
+def _finish(kind: str, value: float, m: int) -> StatisticResult:
+    """The result of every statistic: a finite ``value``, or :class:`NumericError`."""
+    if not math.isfinite(value):  # inf, or NaN where an inf residual met a zero or an inf
+        form = "ANOVA-type" if kind.startswith("ATS") else "Wald"
+        raise NumericError(f"the {form} form overflows the float range")
+    return StatisticResult(kind, value, m)
+
+
 def _wald(kind: str, t: np.ndarray, scale: float, factor) -> StatisticResult:
     """``scale * r' K^+ r`` for ``r = h t - y``, a sum of terms ``z^2 / lam >= 0``."""
     lam, v, h, y = factor
     z = (h @ t - y) @ v  # r before v mixes the rows: a small r keeps its relative accuracy
-    value = scale * float((z / lam) @ z)
-    if not math.isfinite(value):  # inf, or NaN where an inf residual met an exact zero of v
-        raise NumericError("the Wald form overflows the float range")
-    return StatisticResult(kind, value, lam.shape[0])
+    return _finish(kind, scale * float((z / lam) @ z), lam.shape[0])
 
 
 def wts(
@@ -185,8 +206,9 @@ def ats(hyp: LinearHypothesis, t, n: float) -> StatisticResult:
     t = as_vector(t)
     _check_match(hyp.d, t.shape[0])
     n = _sample_size(n)
-    r = hyp.h @ t - hyp.y
-    return StatisticResult("ATS", n * float(r @ r), hyp.m)
+    with np.errstate(over="ignore"):  # an overflow raises in _finish
+        r = hyp.h @ t - hyp.y
+        return _finish("ATS", n * float(r @ r), hyp.m)
 
 
 def ats_standardized(hyp: LinearHypothesis, inp: StatisticInput) -> StatisticResult:
@@ -197,7 +219,9 @@ def ats_standardized(hyp: LinearHypothesis, inp: StatisticInput) -> StatisticRes
     rounds nothing, and keeps the sums of squares in range at any scale of H.
     The trace is summed over the rows and columns of H with a nonzero entry.
     The vanishing test measures Sigma on those columns by its trace, which
-    squares no entry.
+    squares no entry.  The residual is divided by the trace before its dot
+    product, as the Wald forms divide by ``lam``, so a finite value does not
+    overflow on the way.
     """
     _check_match(hyp.d, inp.d)
     rows, cols = hyp._support.rows, hyp._support.cols
@@ -210,8 +234,9 @@ def ats_standardized(hyp: LinearHypothesis, inp: StatisticInput) -> StatisticRes
         raise ValueError(
             "trace(H Sigma H') vanishes; the hypothesis annihilates the covariance"
         )
-    r = h @ inp.t - y
-    return StatisticResult("ATS_s", inp.n * float(r @ r) / denom, hyp.m)
+    with np.errstate(over="ignore"):  # an overflow raises in _finish
+        r = h @ inp.t - y
+        return _finish("ATS_s", inp.n * float((r / denom) @ r), hyp.m)
 
 
 class WtsKernel:

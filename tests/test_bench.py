@@ -6,6 +6,7 @@ import pytest
 from quadform import (
     BenchConfig,
     EquivalenceVerdict,
+    NumericError,
     emit_report,
     equivalent,
     rank,
@@ -15,6 +16,7 @@ from quadform import (
 from quadform.bench import (
     BenchReport,
     BenchRow,
+    _check_variant_agreement,
     build_setting_a,
     build_setting_b,
     sample_compound_symmetry_normal,
@@ -75,6 +77,10 @@ class TestSettingA:
         assert rank(full.h) == 1 == rank(minimal.h)
         assert equivalent(full, minimal) is EquivalenceVerdict.EQUIVALENT
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            build_setting_a(0)
+
 
 class TestSettingB:
     def test_p2_matrices(self):
@@ -133,6 +139,12 @@ class TestRunBenchmark:
         for d in (2, 3):
             full, minimal = by[(d, "full")], by[(d, "minimal")]
             assert abs(full - minimal) <= 1e-6 * max(abs(full), abs(minimal))
+
+    def test_disagreeing_variant_checksums_are_a_numeric_error(self):
+        full = BenchRow("A", 3, "full", 1.0, 10.0, 2.0)
+        minimal = BenchRow("A", 3, "minimal", 0.1, 1.0, 2.0 * (1.0 + 1e-5))
+        with pytest.raises(NumericError, match="checksums disagree"):
+            _check_variant_agreement([full, minimal])
 
     def test_setting_b_reports_vech_dimension(self):
         cfg = BenchConfig(setting="B", dims=(2, 3), replications=10, seed=1)

@@ -159,6 +159,28 @@ class TestStat:
         assert captured.err == "numeric failure: the Wald form overflows the float range\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("kind", ["ats", "ats-s"])
+    def test_overflowing_anova_type_statistic_exits_2(self, tmp_path, capsys, kind):
+        # ||r||^2 = 1e600 is past the float range: an error, not "inf".
+        h = _write(tmp_path, "h.csv", np.eye(2))
+        y = _write_vec(tmp_path, "y.csv", [0.0, 0.0])
+        t = _write_vec(tmp_path, "t.csv", [1e300, 1.0])
+        s = _write(tmp_path, "s.csv", np.eye(2))
+        args = ["stat", "--kind", kind, "--hypothesis", h, "--rhs", y, "--t", t, "--n", "1"]
+        code = main(args + (["--sigma", s] if kind == "ats-s" else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "numeric failure: the ANOVA-type form overflows the float range\n"
+
+    def test_two_column_rhs_file_is_user_error(self, tmp_path, capsys):
+        h = _write(tmp_path, "h.csv", np.eye(2))
+        y = _write(tmp_path, "y.csv", [[0.0, 1.0], [0.0, 1.0]])
+        t = _write_vec(tmp_path, "t.csv", [1.0, 2.0])
+        code = main(["stat", "--kind", "ats", "--hypothesis", h, "--rhs", y, "--t", t, "--n", "1"])
+        assert code == 1
+        assert "expected a single-column vector file, found 2 columns" in capsys.readouterr().err
+
 
 class TestCanonReduce:
     def test_canon_writes_files_matching_library(self, tmp_path):

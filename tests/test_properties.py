@@ -19,6 +19,7 @@ from quadform import (
     WtsKernel,
     ats_standardized,
     canonical_form,
+    dependence_classes,
     is_consistent,
     mats,
     projection,
@@ -27,7 +28,8 @@ from quadform import (
     rref,
     wts,
 )
-from quadform.linalg import _psd_factor
+from quadform.linalg import _pow2_scale
+from quadform.statistics import _wald_factor
 
 from helpers import (
     near_tolerance_system,
@@ -69,7 +71,7 @@ def test_psd_factor_matches_svd_pinv_of_the_psd_part(spectrum, seed, tol):
     # factorizations may settle differently by rounding alone.
     assume(not np.any((s > cutoff / 4.0) & (s < 4.0 * cutoff)))
 
-    lam, v = _psd_factor(a, tol)
+    lam, v, _, _ = _wald_factor(LinearHypothesis(np.eye(n), np.zeros(n)), a, tol)
     assert np.all(lam > 0.0)
     # The cutoff comes from all of a's spectrum, negative eigenvalues included.
     assert lam.size == np.linalg.matrix_rank(psd, tol=cutoff)
@@ -268,6 +270,8 @@ def test_wald_forms_unchanged_by_a_change_of_unit(seed, d, m, k, tol):
         assert statistic(scaled_hyp, scaled_inp, tol) == statistic(hyp, inp, tol)
     kernel = WtsKernel(scaled_hyp, scaled_inp.sigma, n, tol)
     assert kernel.evaluate(scaled_inp.t) == WtsKernel(hyp, sigma, n, tol).evaluate(t)
+    # ATS_s is a ratio of two forms quadratic in the unit, each scaled by a^2 exactly.
+    assert ats_standardized(scaled_hyp, scaled_inp) == ats_standardized(hyp, inp)
 
 
 def _canonical_or_none(hyp):
@@ -354,3 +358,54 @@ def test_projectors_keep_a_row_1e9_times_smaller():
     np.testing.assert_allclose(form.p, kept, atol=1e-12)
     assert form.equivalent
     np.testing.assert_allclose(form.y, [1.0, 1.0, 0.0], atol=1e-12)
+
+
+def _dependence_classes_by_loop(h, eq_tol):
+    """``dependence_classes`` one row and one class at a time: the reference."""
+    g = _pow2_scale(h, axis=1)
+    hs = h / g[:, None]
+    norms = np.linalg.norm(hs, axis=1)
+    zero_rows, groups, units = [], [], []
+    for i in range(h.shape[0]):
+        if norms[i] == 0.0:
+            zero_rows.append(i)
+            continue
+        u = hs[i] / norms[i]
+        lead = int(np.argmax(np.abs(u) > eq_tol))
+        if u[lead] < 0:
+            u = -u
+        for ref, (members, coeffs) in zip(units, groups):
+            if np.max(np.abs(u - ref)) <= eq_tol:
+                rep = members[0]
+                members.append(i)
+                coeffs.append(float(hs[i] @ hs[rep] / norms[rep] ** 2 * (g[i] / g[rep])))
+                break
+        else:
+            units.append(u)
+            groups.append(([i], [1.0]))
+    return tuple(zero_rows), [(tuple(ms), tuple(cs)) for ms, cs in groups]
+
+
+@PROPERTY
+@given(
+    seed=seeds,
+    d=st.integers(1, 6),
+    classes=st.integers(1, 4),
+    m=st.integers(1, 12),
+    eq_tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+def test_dependence_classes_match_the_row_by_row_loop_exactly(seed, d, classes, m, eq_tol):
+    # Parallel rows with signs and scales, exact zero rows, relative noise of
+    # about eq_tol that may or may not join a row to a class, and row scales
+    # of 2^+-40.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((classes, d))
+    h = base[rng.integers(classes, size=m)] * rng.choice([-3.0, -1.0, 0.5, 2.0, 1e-3], size=(m, 1))
+    noise = eq_tol * rng.uniform(0.2, 5.0, size=(m, 1)) * (rng.random((m, 1)) < 0.5)
+    h *= 1.0 + noise * rng.standard_normal((m, d))
+    h = np.ldexp(h, rng.choice([-40, 0, 40], size=(m, 1)))
+    h[rng.random(m) < 0.15] = 0.0
+    partition = dependence_classes(h, Tolerance(eq_tol=eq_tol))
+    zero_rows, groups = _dependence_classes_by_loop(h, eq_tol)
+    assert partition.zero_rows == zero_rows
+    assert [(c.members, c.coefficients) for c in partition.classes] == groups

@@ -61,6 +61,10 @@ class TestStatisticInput:
         with pytest.raises(ValueError, match="sample size"):
             StatisticInput([1.0], [[1.0]], -2)
 
+    def test_rejects_non_square_sigma(self):
+        with pytest.raises(ValueError, match="square"):
+            StatisticInput([1.0, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 3)
+
     def test_psd_boundary_accepted(self):
         StatisticInput([1.0, 2.0], np.zeros((2, 2)), 1)
         StatisticInput([1.0, 2.0], np.ones((2, 2)), 1)
@@ -288,6 +292,19 @@ class TestWaldRowScale:
                 statistic()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_a_value_past_the_float_range_is_an_error(self):
+        # r is finite, but z^2 / lam is not; numpy warns of the overflow first.
+        hyp = LinearHypothesis(np.eye(2), np.zeros(2))
+        inp = StatisticInput([1e300, 1.0], np.eye(2), 1)
+        for statistic in (
+            lambda: wts(hyp, inp),
+            lambda: mats(hyp, inp),
+            lambda: WtsKernel(hyp, np.eye(2), 1).evaluate(inp.t),
+        ):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                with pytest.raises(NumericError, match="Wald form overflows"):
+                    statistic()
+
     @pytest.mark.parametrize("setting", ["A", "B"])
     def test_an_exact_tiny_residual_survives_the_redundant_rows(self, setting):
         # t is dyadic, so every row's residual is exactly 2**-30; v'H and v'y
@@ -353,6 +370,11 @@ class TestAts:
             v2 = ats(LinearHypothesis(h[order], y[order]), t, 3).value
             assert v1 == pytest.approx(v2, rel=1e-12)
 
+    def test_a_value_past_the_float_range_is_an_error_without_a_warning(self):
+        # The pytest configuration turns a RuntimeWarning into a failure.
+        with pytest.raises(NumericError, match="ANOVA-type form overflows"):
+            ats(LinearHypothesis(np.eye(2), np.zeros(2)), [1e300, 1.0], 1)
+
     def test_bad_sample_size(self):
         with pytest.raises(ValueError, match="sample size"):
             ats(LinearHypothesis(np.eye(2), np.zeros(2)), [1.0, 2.0], 0)
@@ -392,6 +414,19 @@ class TestAtsStandardized:
         scaled = ats_standardized(LinearHypothesis(k * h, np.zeros(2)), inp).value
         assert base == pytest.approx(6.8, rel=1e-15)
         assert scaled == pytest.approx(base, rel=1e-14)
+
+    def test_a_value_past_the_float_range_is_an_error_without_a_warning(self):
+        inp = StatisticInput([1e300, 1.0], np.eye(2), 1)
+        with pytest.raises(NumericError, match="ANOVA-type form overflows"):
+            ats_standardized(LinearHypothesis(np.eye(2), np.zeros(2)), inp)
+
+    def test_a_finite_value_whose_sum_of_squares_overflows(self):
+        # ||r||^2 = 5e10 * 2^1000 is past the float range; the trace 2^1001 brings
+        # the value back to 10 * 5e10 / 2 = 2.5e11.  Dividing r first keeps it finite.
+        t = np.ldexp([1e5, 2e5], 500)
+        inp = StatisticInput(t, np.ldexp(np.eye(2), 1000), 10)
+        value = ats_standardized(LinearHypothesis(np.eye(2), np.zeros(2)), inp).value
+        assert value == pytest.approx(2.5e11, rel=1e-12)
 
     def test_vanishing_trace_rejected(self):
         # H hits only the zero block of the covariance
