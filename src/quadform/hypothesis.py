@@ -19,11 +19,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
+    _Echelon,
+    _echelon,
     _pow2_scale,
     _svd,
     as_matrix,
     as_vector,
-    rref,
 )
 
 
@@ -52,7 +53,8 @@ class _Support(NamedTuple):
     nonzero entry; each is ``slice(None)`` when that is all of them, so that
     indexing with it copies nothing.  ``[h | y]`` is ``[H | y]`` with each row
     divided by a power of two near its largest ``|H|``, which rounds no entry
-    of ``H``; a ``y`` entry past the float range after that division is inf.
+    of ``H``, or by 1 for a zero row; a ``y`` entry past the float range after
+    that division is inf.
     """
 
     rows: slice | np.ndarray
@@ -88,7 +90,7 @@ class LinearHypothesis:
         rows = h.any(axis=1)
         if not rows.any() and y.any():
             raise ValueError("all-zero H with nonzero y has no solution")
-        g = _pow2_scale(h, axis=1)
+        g = np.where(rows, _pow2_scale(h, axis=1), 1.0)  # no Wald form reads a zero row's y
         with np.errstate(over="ignore"):  # the Wald forms decide what an inf y means
             h_scaled, y_scaled = h / g[:, None], y / g
         for a in (h, y, h_scaled, y_scaled):
@@ -107,14 +109,6 @@ class LinearHypothesis:
     def d(self) -> int:
         """Dimension of the constrained parameter vector."""
         return self.h.shape[1]
-
-    def augmented(self) -> np.ndarray:
-        """The m x (d + 1) block matrix ``[H | y]``."""
-        return np.column_stack([self.h, self.y])
-
-
-# What _reduced_augmented returns: echelon rows, pivot columns, consistency.
-_Reduced = tuple[np.ndarray, list[int], bool]
 
 
 class ProjectionForm(NamedTuple):
@@ -166,17 +160,7 @@ def is_consistent(hyp: LinearHypothesis, tol: Tolerance | None = None) -> bool:
     This pivot test is the one consistency decision of every entry point;
     ``rank_tol`` is the relative snap multiplier of :func:`rref` here.
     """
-    return _reduced_augmented(hyp, tol or DEFAULT_TOLERANCE)[2]
-
-
-def _reduced_augmented(hyp: LinearHypothesis, tol: Tolerance) -> _Reduced:
-    """RREF of [H | y] with zero rows dropped, plus pivots and a consistency flag.
-
-    A pivot landing in the y column means no solution exists.
-    """
-    r, pivots = rref(hyp.augmented(), tol)
-    consistent = not pivots or pivots[-1] != hyp.d
-    return r[: len(pivots)], pivots, consistent
+    return _echelon(hyp.h, hyp.y, tol).consistent
 
 
 def equivalent(
@@ -190,19 +174,18 @@ def equivalent(
     tol = tol or DEFAULT_TOLERANCE
     if h1.d != h2.d:
         raise ValueError(f"hypotheses constrain different spaces: d={h1.d} vs d={h2.d}")
-    return _compare_reduced(_reduced_augmented(h1, tol), _reduced_augmented(h2, tol), tol)
+    return _compare_reduced(_echelon(h1.h, h1.y, tol), _echelon(h2.h, h2.y, tol), tol)
 
 
-def _compare_reduced(left: _Reduced, right: _Reduced, tol: Tolerance) -> EquivalenceVerdict:
-    """The :func:`equivalent` verdict on two :func:`_reduced_augmented` results."""
-    (r1, p1, c1), (r2, p2, c2) = left, right
-    if not c1 and not c2:
+def _compare_reduced(a: _Echelon, b: _Echelon, tol: Tolerance) -> EquivalenceVerdict:
+    """The :func:`equivalent` verdict on the echelons ``a`` (left) and ``b`` (right)."""
+    if not a.consistent and not b.consistent:
         return EquivalenceVerdict.BOTH_INCONSISTENT
-    if not c1:
+    if not a.consistent:
         return EquivalenceVerdict.INCONSISTENT_LEFT
-    if not c2:
+    if not b.consistent:
         return EquivalenceVerdict.INCONSISTENT_RIGHT
-    if p1 == p2 and np.allclose(r1, r2, rtol=tol.eq_tol, atol=tol.eq_tol):
+    if a.pivots == b.pivots and np.allclose(a.rows, b.rows, rtol=tol.eq_tol, atol=tol.eq_tol):
         return EquivalenceVerdict.EQUIVALENT
     return EquivalenceVerdict.NOT_EQUIVALENT
 
@@ -216,13 +199,12 @@ def canonical_form(hyp: LinearHypothesis, tol: Tolerance | None = None) -> Linea
     (all-zero H, zero y) keeps a single zero row so the result remains a
     well-formed hypothesis.
     """
-    tol = tol or DEFAULT_TOLERANCE
-    rows, pivots, consistent = _reduced_augmented(hyp, tol)
-    if not consistent:
+    echelon = _echelon(hyp.h, hyp.y, tol)
+    if not echelon.consistent:
         raise InconsistentHypothesisError("cannot canonicalize: hypothesis has no solution")
-    if not pivots:
+    if not echelon.pivots:
         return LinearHypothesis(np.zeros((1, hyp.d)), np.zeros(1))
-    return LinearHypothesis(rows[:, :-1], rows[:, -1])
+    return LinearHypothesis(echelon.rows[:, :-1], echelon.rows[:, -1])
 
 
 def projection_form(hyp: LinearHypothesis, tol: Tolerance | None = None) -> ProjectionForm:
@@ -238,15 +220,15 @@ def projection_form(hyp: LinearHypothesis, tol: Tolerance | None = None) -> Proj
     hypothesis, verified as :func:`equivalent` would rather than assumed.
     """
     tol = tol or DEFAULT_TOLERANCE
-    rows, _, consistent = reduced = _reduced_augmented(hyp, tol)
-    if not consistent:
+    echelon = _echelon(hyp.h, hyp.y, tol)
+    if not echelon.consistent:
         raise InconsistentHypothesisError("no projection form: hypothesis has no solution")
-    u, s, vt = _svd(rows[:, :-1])
+    u, s, vt = _svd(echelon.rows[:, :-1])
     p = vt.T @ vt
     if not hyp.y.any():
         return ProjectionForm(p, True, np.zeros(hyp.d))
-    y_out = vt.T @ ((u.T @ rows[:, -1]) / s)
-    verdict = _compare_reduced(reduced, _reduced_augmented(LinearHypothesis(p, y_out), tol), tol)
+    y_out = vt.T @ ((u.T @ echelon.rows[:, -1]) / s)
+    verdict = _compare_reduced(echelon, _echelon(p, y_out, tol), tol)
     return ProjectionForm(p, verdict is EquivalenceVerdict.EQUIVALENT, y_out)
 
 

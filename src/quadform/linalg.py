@@ -4,16 +4,17 @@ All operations are pure functions over numpy arrays.  Inputs are validated
 eagerly: matrices must be 2-d, nonempty and finite, so numerical routines
 never see NaN or Inf.
 
-Rank has one rule: the pivot count of :func:`rref`, which snaps an entry to
-zero when it is negligible against its own row, so no row scale moves it.
-:func:`projection` and ``projection_form`` read their projector from one thin
-SVD of the echelon rows, so its trace is that count; no Gram matrix ``H H'``
-is formed.
+Rank and consistency have one rule: the pivots that :func:`_echelon` reads
+from :func:`rref`, which snaps an entry to zero when it is negligible against
+its own row, so no row scale moves them.  :func:`projection` and
+``projection_form`` read their projector from one thin SVD of the echelon
+rows, so its trace is the pivot count; no Gram matrix ``H H'`` is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def _svd(a: np.ndarray):
 
 def rank(a, tol: Tolerance | None = None) -> int:
     """Numerical rank: the pivot count of ``rref([a | 0])``, as for ``a theta = 0``."""
-    return len(_homogeneous_rows(a, tol))
+    return len(_echelon(a, 0.0, tol).pivots)
 
 
 def rref(a, tol: Tolerance | None = None) -> tuple[np.ndarray, list[int]]:
@@ -159,11 +160,22 @@ def rref(a, tol: Tolerance | None = None) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
-def _homogeneous_rows(h, tol: Tolerance | None) -> np.ndarray:
-    """Nonzero rows of ``rref([h | 0], tol)``, the echelon rows of ``h theta = 0``."""
+class _Echelon(NamedTuple):
+    """The nonzero ``rows`` of ``rref([h | y])`` and their ``pivots``, one per rank of ``h``.
+
+    ``consistent``: no pivot lands in the y column, so ``h theta = y`` has a solution.
+    """
+
+    rows: np.ndarray
+    pivots: list[int]
+    consistent: bool
+
+
+def _echelon(h, y, tol: Tolerance | None) -> _Echelon:
+    """The :class:`_Echelon` of ``[h | y]``; ``y`` may be a scalar, such as 0."""
     h = as_matrix(h)
-    r, pivots = rref(np.column_stack([h, np.zeros(h.shape[0])]), tol)
-    return r[: len(pivots)]
+    r, pivots = rref(np.column_stack([h, np.full(h.shape[0], y)]), tol)
+    return _Echelon(r[: len(pivots)], pivots, not pivots or pivots[-1] != h.shape[1])
 
 
 def projection(h, tol: Tolerance | None = None) -> np.ndarray:
@@ -174,5 +186,5 @@ def projection(h, tol: Tolerance | None = None) -> np.ndarray:
     same row space gives the same projector, symmetric and idempotent up to
     rounding, whatever the scale of ``h`` or of its rows.
     """
-    vt = _svd(_homogeneous_rows(h, tol)[:, :-1])[2]
+    vt = _svd(_echelon(h, 0.0, tol).rows[:, :-1])[2]
     return vt.T @ vt

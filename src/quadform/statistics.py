@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,10 +107,17 @@ def _check_match(width: int, d: int) -> None:
         )
 
 
-def _wald_factor(
-    hyp: LinearHypothesis, sigma: np.ndarray, tol: Tolerance | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(lam, v, h, y)``: ``r' K^+ r = sum(z^2 / lam)`` for ``z = v'(h t - y)``, ``K = H S H'``.
+class _WaldForm(NamedTuple):
+    """A factored Wald kernel ``K``: ``r' K^+ r == sum(z^2 / lam)`` for ``z = v'(h t - y)``."""
+
+    lam: np.ndarray
+    v: np.ndarray
+    h: np.ndarray
+    y: np.ndarray
+
+
+def _wald_factor(hyp: LinearHypothesis, sigma: np.ndarray, tol: Tolerance | None) -> _WaldForm:
+    """The :class:`_WaldForm` of ``K = H S H'``.
 
     ``S`` is Sigma, or its diagonal as a vector for MATS.  ``[h | y]`` is each
     row of ``[H | y]`` divided by a power of two near its largest ``|H|``, which
@@ -121,7 +129,8 @@ def _wald_factor(
     reads it, so neither a row scale nor a change of unit of ``t``, ``y`` and
     ``Sigma`` moves the rank or the value; a negative ``lam`` is rounding.
     ``v`` keeps all ``m`` rows, exactly zero on the others.  A ``y`` past the
-    float range after the row scaling is an error unless no pair is kept.
+    float range after the row scaling is an error unless no pair is kept; a
+    zero row is not scaled, so its ``y`` does not decide that.
     """
     rows, cols, h, y = hyp._support
     hs = h[rows][:, cols]
@@ -145,10 +154,10 @@ def _wald_factor(
         # Every kept pair meets the inf residual, as inf or as NaN where v is 0.
         raise NumericError("the Wald form overflows the float range")
     if isinstance(rows, slice):
-        return lam, vs, h, y
+        return _WaldForm(lam, vs, h, y)
     v = np.zeros((h.shape[0], vs.shape[1]))
     v[rows] = vs
-    return lam, v, h, y
+    return _WaldForm(lam, v, h, y)
 
 
 def _finish(kind: str, value: float, m: int) -> StatisticResult:
@@ -159,11 +168,10 @@ def _finish(kind: str, value: float, m: int) -> StatisticResult:
     return StatisticResult(kind, value, m)
 
 
-def _wald(kind: str, t: np.ndarray, scale: float, factor) -> StatisticResult:
+def _wald(kind: str, t: np.ndarray, scale: float, form: _WaldForm) -> StatisticResult:
     """``scale * r' K^+ r`` for ``r = h t - y``, a sum of terms ``z^2 / lam >= 0``."""
-    lam, v, h, y = factor
-    z = (h @ t - y) @ v  # r before v mixes the rows: a small r keeps its relative accuracy
-    return _finish(kind, scale * float((z / lam) @ z), lam.shape[0])
+    z = (form.h @ t - form.y) @ form.v  # r before v mixes rows: a small r keeps its accuracy
+    return _finish(kind, scale * float((z / form.lam) @ z), form.lam.shape[0])
 
 
 def wts(
@@ -215,21 +223,24 @@ def ats_standardized(hyp: LinearHypothesis, inp: StatisticInput) -> StatisticRes
     """ANOVA-type statistic divided by ``trace(H Sigma H')``.
 
     Both are quadratic in ``(H, y)``, so the ratio is computed on ``H`` and
-    ``y`` divided by a power of two near the largest entry of ``H``.  That
-    rounds nothing, and keeps the sums of squares in range at any scale of H.
-    The trace is summed over the rows and columns of H with a nonzero entry.
-    The vanishing test measures Sigma on those columns by its trace, which
+    ``y`` over ``2^e`` times a power of two near the largest entry of ``H``,
+    with ``4^e`` near the largest entry of Sigma on the columns of H with a
+    nonzero entry.  That rounds nothing and keeps the sums of squares in range
+    at any scale of H or Sigma.  The trace is summed over those columns and the
+    nonzero rows; the vanishing test measures Sigma there by its trace, which
     squares no entry.  The residual is divided by the trace before its dot
-    product, as the Wald forms divide by ``lam``, so a finite value does not
-    overflow on the way.
+    product, so a finite value does not overflow.
     """
     _check_match(hyp.d, inp.d)
     rows, cols = hyp._support.rows, hyp._support.cols
-    g = _pow2_scale(hyp.h)
-    h, y = hyp.h / g, hyp.y / g
-    hs, s = h[rows][:, cols], inp.sigma[cols][:, cols]
+    s, g = inp.sigma[cols][:, cols], _pow2_scale(hyp.h)
+    diag = np.diagonal(s)
+    c = math.ldexp(1.0, -(math.frexp(diag.max(initial=0.0))[1] // 2))  # 2^-e; 1 for an all-zero H
+    h, y = hyp.h / g, hyp.y / g * c
+    floor = _EPS * float(np.linalg.norm(h[rows][:, cols]) ** 2) * float((diag * c).sum() * c)
+    h *= c  # in place: each fresh m x d temporary adds page faults to the call
+    hs = h[rows][:, cols]
     denom = float(np.sum((hs @ s) * hs))
-    floor = _EPS * float(np.linalg.norm(hs) ** 2) * float(np.trace(s))
     if denom <= floor:
         raise ValueError(
             "trace(H Sigma H') vanishes; the hypothesis annihilates the covariance"
@@ -244,11 +255,11 @@ class WtsKernel:
 
     The pseudo-inverse of ``H Sigma H'`` depends only on the hypothesis and
     the covariance, so for many statistic vectors (bootstrap or permutation
-    replicates) it pays to factor it once.  The constructor keeps the form
-    ``(lam, v, h, y)`` of :func:`_wald_factor` that :func:`wts` computes on
-    every call, not a dense m x m inverse.  The kernel is factored on the
-    nonzero rows and columns of ``H``, but ``v`` keeps all ``m`` rows, so an
-    evaluation costs ``m * d`` and is the same arithmetic as in :func:`wts`.
+    replicates) it pays to factor it once.  The constructor keeps the
+    :class:`_WaldForm` that :func:`wts` computes on every call, not a dense
+    m x m inverse.  The kernel is factored on the nonzero rows and columns of
+    ``H``, but ``v`` keeps all ``m`` rows, so an evaluation costs ``m * d`` and
+    is the same arithmetic as in :func:`wts`.
     Instances are immutable and safe to share across threads; ``evaluate``
     returns exactly what :func:`wts` returns.
     """
@@ -263,14 +274,14 @@ class WtsKernel:
                 f"{sigma.shape[0]}x{sigma.shape[1]}"
             )
         self._n = _sample_size(n)
-        self._factor = _wald_factor(hypothesis, sigma, tol)
-        for a in self._factor:
+        self._form = _wald_factor(hypothesis, sigma, tol)
+        for a in self._form:
             a.flags.writeable = False
 
     def evaluate(self, t) -> StatisticResult:
         t = as_vector(t)
-        _check_match(self._factor[2].shape[1], t.shape[0])
-        return _wald("WTS", t, self._n, self._factor)
+        _check_match(self._form.h.shape[1], t.shape[0])
+        return _wald("WTS", t, self._n, self._form)
 
 
 def vech_upper(v) -> np.ndarray:

@@ -44,6 +44,12 @@ def rank(a):
     return len(rref(as_fractions(a))[1])
 
 
+def consistent(h, y):
+    """Whether ``H theta = y`` has a solution: no pivot of ``rref([H | y])`` in the y column."""
+    rows = [row + [b] for row, b in zip(as_fractions(h), as_fractions(y))]
+    return len(h[0]) not in rref(rows)[1]
+
+
 def _solve(k, r):
     """One ``x`` with ``K x = r``; raises ``ValueError`` when ``r`` is not in the range of ``K``."""
     echelon, pivots = rref([row + [b] for row, b in zip(k, r)])

@@ -173,6 +173,19 @@ class TestStat:
         assert captured.out == ""
         assert captured.err == "numeric failure: the ANOVA-type form overflows the float range\n"
 
+    def test_standardized_anova_type_statistic_at_a_huge_sigma_exits_0(self, tmp_path, capsys):
+        # trace(H Sigma H') = 3.4e308 is past the float range; the value is not.
+        h = _write(tmp_path, "h.csv", np.eye(2))
+        y = _write_vec(tmp_path, "y.csv", [0.0, 0.0])
+        t = _write_vec(tmp_path, "t.csv", [1.0, 2.0])
+        s = _write(tmp_path, "s.csv", 1.7e308 * np.eye(2))
+        code = main(
+            ["stat", "--kind", "ats-s", "--hypothesis", h, "--rhs", y,
+             "--t", t, "--sigma", s, "--n", "1"]
+        )
+        assert code == 0
+        assert float(capsys.readouterr().out) == pytest.approx(2.5 / 1.7e308, rel=1e-11, abs=0.0)
+
     def test_two_column_rhs_file_is_user_error(self, tmp_path, capsys):
         h = _write(tmp_path, "h.csv", np.eye(2))
         y = _write(tmp_path, "y.csv", [[0.0, 1.0], [0.0, 1.0]])

@@ -13,11 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadform import (
+    EquivalenceVerdict,
     LinearHypothesis,
     StatisticInput,
     WtsKernel,
+    canonical_form,
+    equivalent,
     is_consistent,
     mats,
+    projection,
     projection_form,
     rank,
     wts,
@@ -70,6 +74,32 @@ def test_wald_forms_match_the_exact_value(seed, d, m, dependent):
     ):
         assert got.m_effective == r
         assert got.value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    m=st.integers(1, 4),
+    dependent=st.integers(0, 2),
+)
+def test_echelon_decisions_match_the_exact_verdicts(seed, d, m, dependent):
+    # Small integer rows, some of them integer combinations of others, each
+    # scaled by 2^k, and theta on a dyadic grid: H theta is exact, so y is
+    # exactly consistent, and so is the verdict once the last y entry moves.
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-3, 4, size=(m, d)).astype(float)
+    k = rng.integers(-40, 41, size=m + dependent)
+    h = np.ldexp(np.vstack([base, rng.integers(-2, 3, size=(dependent, m)) @ base]), k[:, None])
+    assume(h.any())
+    y = h @ (rng.integers(-16, 17, size=d) / 8.0)
+    hyp = LinearHypothesis(h, y)
+    assert rank(h) == exact.rank(h)
+    assert np.trace(projection(h)) == pytest.approx(exact.rank(h), abs=1e-12)
+    assert is_consistent(hyp)
+    assert equivalent(hyp, canonical_form(hyp)) is EquivalenceVerdict.EQUIVALENT
+    y[-1] += np.ldexp(1.0, k[-1]) / 8.0
+    assert is_consistent(LinearHypothesis(h, y)) == exact.consistent(h, y)
 
 
 @pytest.mark.xfail(

@@ -292,6 +292,15 @@ class TestWaldRowScale:
                 statistic()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("y1", [1e307, 1e308])
+    def test_the_right_hand_side_of_a_zero_row_decides_nothing(self, y1):
+        # K^+ ignores a zero row.  Its y was divided by the all-zero row's scale
+        # 0.5, so 1e308 became inf, met the zeros of v and read as an overflow.
+        hyp = LinearHypothesis([[1.0, 0.0], [0.0, 0.0]], [0.0, y1])
+        inp = StatisticInput([1.0, 2.0], np.eye(2), 1)
+        results = [wts(hyp, inp), mats(hyp, inp), WtsKernel(hyp, np.eye(2), 1).evaluate(inp.t)]
+        assert [(r.value, r.m_effective) for r in results] == [(1.0, 1)] * 3
+
     def test_a_value_past_the_float_range_is_an_error(self):
         # r is finite, but z^2 / lam is not; numpy warns of the overflow first.
         hyp = LinearHypothesis(np.eye(2), np.zeros(2))
@@ -427,6 +436,13 @@ class TestAtsStandardized:
         inp = StatisticInput(t, np.ldexp(np.eye(2), 1000), 10)
         value = ats_standardized(LinearHypothesis(np.eye(2), np.zeros(2)), inp).value
         assert value == pytest.approx(2.5e11, rel=1e-12)
+
+    def test_a_covariance_near_the_float_range(self):
+        # trace(H Sigma H') = 3.4e308 overflowed, and the inf trace met an inf
+        # vanishing floor.  The value 2.5 / 1.7e308 is subnormal.
+        inp = StatisticInput([1.0, 2.0], 1.7e308 * np.eye(2), 1)
+        value = ats_standardized(LinearHypothesis(np.eye(2), np.zeros(2)), inp).value
+        assert value == pytest.approx(2.5 / 1.7e308, rel=1e-12, abs=0.0)
 
     def test_vanishing_trace_rejected(self):
         # H hits only the zero block of the covariance
