@@ -232,8 +232,8 @@ def emit_report(report: BenchReport, fmt: str = "markdown") -> str:
 
     The csv format has one line per (setting, dimension, variant) with six
     fields: setting, dimension, variant, total seconds, microseconds per
-    evaluation, and the value checksum.  The markdown format lays dimensions
-    out as columns and matrix variants as rows, one table per setting.
+    evaluation, and the value checksum.  The markdown format has one table
+    per setting: dimensions as columns, variants as rows in first-seen order.
     """
     if not report.rows:
         raise ValueError("empty benchmark report")
@@ -262,7 +262,7 @@ def emit_report(report: BenchReport, fmt: str = "markdown") -> str:
         header = ["d"] + [str(d) for d in dims]
         out.append("| " + " | ".join(header) + " |")
         out.append("|" + "---|" * len(header))
-        for variant in ("full", "minimal"):
+        for variant in dict.fromkeys(r.matrix_variant for r in report.rows):
             row = [variant] + [cells.get((d, variant), "") for d in dims]
             out.append("| " + " | ".join(row) + " |")
     return "\n".join(out) + "\n"

@@ -4,6 +4,8 @@ Subcommands: ``stat`` (evaluate a statistic), ``canon`` (canonical form),
 ``reduce`` (ATS-safe row reduction), ``equiv`` (solution-set comparison),
 ``project`` (projector form), ``bench`` (timing harness).  Matrices travel as
 headerless CSV files; statistic values print with 12 significant digits.
+``canon`` and ``reduce`` print ``H``, a blank line and ``y``, or write the pair to
+``--out-hypothesis`` and ``--out-rhs``, which are given together or not at all.
 
 Exit codes: 0 success, 1 user error (bad input, inconsistent hypothesis),
 2 internal numeric failure.
@@ -72,23 +74,16 @@ def _cmd_stat(args) -> None:
     print(f"{result.value:.12g}")
 
 
-def _emit_hypothesis(hyp: LinearHypothesis, args) -> None:
+def _cmd_rewrite(args) -> None:
+    if bool(args.out_hypothesis) != bool(args.out_rhs):
+        raise _UsageError("--out-hypothesis and --out-rhs must be given together or not at all")
+    hyp = args.rewrite(_load_hypothesis(args.hypothesis, args.rhs))
     if args.out_hypothesis:
         write_matrix_csv(hyp.h, args.out_hypothesis)
-    if args.out_rhs:
         write_vector_csv(hyp.y, args.out_rhs)
-    if not (args.out_hypothesis or args.out_rhs):
-        sys.stdout.write(format_matrix_csv(hyp.h))
-        sys.stdout.write("\n")
+    else:
+        print(format_matrix_csv(hyp.h))
         sys.stdout.write(format_matrix_csv(hyp.y[:, None]))
-
-
-def _cmd_canon(args) -> None:
-    _emit_hypothesis(canonical_form(_load_hypothesis(args.hypothesis, args.rhs)), args)
-
-
-def _cmd_reduce(args) -> None:
-    _emit_hypothesis(reduce_for_ats(_load_hypothesis(args.hypothesis, args.rhs)), args)
 
 
 def _cmd_equiv(args) -> None:
@@ -149,17 +144,15 @@ def _build_parser() -> argparse.ArgumentParser:
     stat.add_argument("--n", type=float, help="total sample size")
     stat.set_defaults(func=_cmd_stat)
 
-    canon = subs.add_parser("canon", help="row-echelon canonical form of a hypothesis")
-    _add_hypothesis_flags(canon)
-    canon.add_argument("--out-hypothesis", help="write the canonical matrix to this CSV file")
-    canon.add_argument("--out-rhs", help="write the canonical right-hand side to this CSV file")
-    canon.set_defaults(func=_cmd_canon)
-
-    reduce = subs.add_parser("reduce", help="drop zero rows and collapse parallel rows (ATS-safe)")
-    _add_hypothesis_flags(reduce)
-    reduce.add_argument("--out-hypothesis", help="write the reduced matrix to this CSV file")
-    reduce.add_argument("--out-rhs", help="write the reduced right-hand side to this CSV file")
-    reduce.set_defaults(func=_cmd_reduce)
+    for name, rewrite, adjective, help_text in (
+        ("canon", canonical_form, "canonical", "row-echelon canonical form of a hypothesis"),
+        ("reduce", reduce_for_ats, "reduced", "drop zero rows and collapse parallel rows (ATS-safe)"),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        _add_hypothesis_flags(sub)
+        sub.add_argument("--out-hypothesis", help=f"write the {adjective} matrix to this CSV file")
+        sub.add_argument("--out-rhs", help=f"write the {adjective} right-hand side to this CSV file")
+        sub.set_defaults(func=_cmd_rewrite, rewrite=rewrite)
 
     equiv = subs.add_parser("equiv", help="compare the solution sets of two hypotheses")
     equiv.add_argument("--h1", required=True)

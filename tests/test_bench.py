@@ -220,6 +220,17 @@ class TestEmitReport:
         text = emit_report(BenchReport("PCG64", 0, rows), "markdown")
         assert "| d | 5 | 10 | 20 | 50 | 100 | 200 |" in text
 
+    def test_markdown_lists_every_variant_in_first_seen_order(self):
+        rows = self._report().rows + (BenchRow("A", 5, "projector", 0.5, 100.0, 12.5),)
+        text = emit_report(BenchReport("PCG64", 42, rows), "markdown")
+        lines = text.splitlines()
+        variant_lines = [line for line in lines if line.startswith("| ") and not line.startswith("| d ")]
+        assert variant_lines == [
+            "| full | 0.900 | 1.400 |",
+            "| minimal | 0.700 | 0.800 |",
+            "| projector | 0.500 |  |",
+        ]
+
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             emit_report(BenchReport("PCG64", 0, ()), "csv")

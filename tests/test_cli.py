@@ -76,6 +76,24 @@ class TestProject:
         (p,) = _parse_blocks(captured.out)
         np.testing.assert_allclose(p, CENTERING_3, atol=1e-12)
 
+    def test_a_projector_that_loses_the_solution_set_prints_a_note(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import quadform.cli as cli_mod
+
+        real = cli_mod.projection_form
+        monkeypatch.setattr(
+            cli_mod, "projection_form", lambda hyp: real(hyp)._replace(equivalent=False)
+        )
+        h = _write(tmp_path, "h.csv", [[1, -1, 0], [0, 1, -1], [1, 0, -1]])
+        y = _write_vec(tmp_path, "y.csv", [0.0, 0.0, 0.0])
+        code = main(["project", "--hypothesis", h, "--rhs", y])
+        captured = capsys.readouterr()
+        assert code == 0
+        (p,) = _parse_blocks(captured.out)
+        np.testing.assert_allclose(p, CENTERING_3, atol=1e-12)
+        assert captured.err.startswith("note: the projector with the mapped right-hand side")
+
 
 class TestStat:
     def test_wts_matches_library_value(self, tmp_path, capsys):
@@ -231,6 +249,55 @@ class TestCanonReduce:
         y = _write_vec(tmp_path, "y.csv", [0.0, 1.0])
         assert main(["reduce", "--hypothesis", h, "--rhs", y]) == 1
         assert "parallel within eq_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, out_flags",
+        [
+            ("canon", ["--out-hypothesis", "OUT"]),
+            ("reduce", ["--out-rhs", "OUT"]),
+            ("reduce", ["--out-hypothesis", "OUT", "--out-rhs", ""]),
+        ],
+        ids=["canon-hypothesis-only", "reduce-rhs-only", "reduce-empty-rhs"],
+    )
+    def test_half_an_output_pair_is_user_error_and_writes_nothing(
+        self, tmp_path, capsys, subcommand, out_flags
+    ):
+        h = _write(tmp_path, "h.csv", CENTERING_3)
+        y = _write_vec(tmp_path, "y.csv", np.zeros(3))
+        out = tmp_path / "out.csv"
+        flags = [str(out) if flag == "OUT" else flag for flag in out_flags]
+        assert main([subcommand, "--hypothesis", h, "--rhs", y, *flags]) == 1
+        err = capsys.readouterr().err
+        assert "--out-hypothesis" in err and "--out-rhs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["canon", "reduce"])
+    def test_files_hold_the_bytes_printed_to_stdout(self, tmp_path, capsys, subcommand):
+        h = _write(tmp_path, "h.csv", [[1.0, -1.0, 0.0], [2.0, -2.0, 0.0], [0.0, 0.0, 0.0]])
+        y = _write_vec(tmp_path, "y.csv", [0.5, 1.0, 0.0])
+        assert main([subcommand, "--hypothesis", h, "--rhs", y]) == 0
+        printed = capsys.readouterr().out
+        out_h, out_y = tmp_path / "out_h.csv", tmp_path / "out_y.csv"
+        out_flags = ["--out-hypothesis", str(out_h), "--out-rhs", str(out_y)]
+        assert main([subcommand, "--hypothesis", h, "--rhs", y, *out_flags]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed == out_h.read_text() + "\n" + out_y.read_text()
+
+    def test_the_rewrite_is_looked_up_when_the_parser_is_built(self, tmp_path, monkeypatch):
+        # A traced run patches the names quadform.cli imports before main runs.
+        import quadform.cli as cli_mod
+
+        calls = []
+
+        def counted(hyp):
+            calls.append(hyp)
+            return reduce_for_ats(hyp)
+
+        monkeypatch.setattr(cli_mod, "reduce_for_ats", counted)
+        h = _write(tmp_path, "h.csv", CENTERING_3)
+        y = _write_vec(tmp_path, "y.csv", np.zeros(3))
+        assert main(["reduce", "--hypothesis", h, "--rhs", y]) == 0
+        assert len(calls) == 1
 
 
 class TestCsvErrors:
